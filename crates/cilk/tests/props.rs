@@ -2,11 +2,8 @@
 //! fork-join computations must produce exactly the sequential result under
 //! any worker count and fence strategy.
 //!
-//! The default build generates the random expression trees from a fixed
-//! SplitMix64 seed (the hosts build offline, so `proptest` is not
-//! available); the original proptest versions survive behind the
-//! non-default `proptest` feature, which requires restoring the `proptest`
-//! dev-dependency on a networked machine.
+//! The random expression trees come from a fixed SplitMix64 seed, so
+//! every run checks the same cases.
 
 use lbmf::strategy::FenceStrategy;
 use lbmf::strategy::{SignalFence, Symmetric};
@@ -22,8 +19,8 @@ enum Expr {
     Mul(Box<Expr>, Box<Expr>),
 }
 
-/// A random tree of depth at most `depth` (mirrors the recursive proptest
-/// strategy: at each level, half the mass goes to leaves).
+/// A random tree of depth at most `depth` (at each level, half the mass
+/// goes to leaves).
 fn random_expr(rng: &mut SplitMix64, depth: u32) -> Expr {
     if depth == 0 || rng.random_ratio(1, 2) {
         return Expr::Leaf(rng.bounded_u64(1000));
@@ -123,51 +120,4 @@ fn concurrent_runs_share_the_pool() {
     }
     // sum of 11k for k=1..4
     assert_eq!(total.load(Ordering::Relaxed), 11 * (1 + 2 + 3 + 4));
-}
-
-/// The original proptest versions of the properties above. Compiled only
-/// with `--features proptest` after restoring the `proptest`
-/// dev-dependency (registry access required).
-#[cfg(feature = "proptest")]
-mod proptest_originals {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn expr_strategy() -> impl Strategy<Value = Expr> {
-        let leaf = (0u64..1000).prop_map(Expr::Leaf);
-        leaf.prop_recursive(8, 96, 2, |inner| {
-            prop_oneof![
-                (inner.clone(), inner.clone())
-                    .prop_map(|(a, b)| Expr::Add(Box::new(a), Box::new(b))),
-                (inner.clone(), inner).prop_map(|(a, b)| Expr::Mul(Box::new(a), Box::new(b))),
-            ]
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-        #[test]
-        fn random_trees_match_sequential_symmetric_pt(e in expr_strategy()) {
-            let pool = Scheduler::new(3, Arc::new(Symmetric::new()));
-            let par = pool.run(|ctx| eval_par(ctx, &e));
-            prop_assert_eq!(par, eval_seq(&e));
-        }
-
-        #[test]
-        fn random_trees_match_sequential_asymmetric_pt(e in expr_strategy()) {
-            let pool = Scheduler::new(2, Arc::new(SignalFence::new()));
-            let par = pool.run(|ctx| eval_par(ctx, &e));
-            prop_assert_eq!(par, eval_seq(&e));
-        }
-
-        #[test]
-        fn job_conservation_pt(e in expr_strategy(), workers in 1usize..5) {
-            let pool = Scheduler::new(workers, Arc::new(Symmetric::new()));
-            pool.reset_stats();
-            let _ = pool.run(|ctx| eval_par(ctx, &e));
-            let s = pool.stats();
-            prop_assert_eq!(s.pushes, s.pops + s.steals);
-        }
-    }
 }

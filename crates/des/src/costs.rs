@@ -112,10 +112,10 @@ impl DesCosts {
     }
 
     /// The cost-table entries that the cycle-level machine can measure
-    /// directly, `(name, cycles)` — the contract the `lbmf-obs calibrate`
-    /// pass checks against `lbmf-sim` kernel runs. Signal and membarrier
-    /// entries model OS mechanisms outside the simulated hardware and are
-    /// deliberately absent (reported as unmeasured by the calibration).
+    /// directly, `(name, cycles)` — the contract the unit tests check
+    /// against `lbmf-sim` kernel runs. Signal and membarrier entries
+    /// model OS mechanisms outside the simulated hardware and are
+    /// deliberately absent.
     pub fn calibratable_entries(&self) -> [(&'static str, u64); 4] {
         [
             ("mfence", self.mfence),
@@ -126,34 +126,10 @@ impl DesCosts {
     }
 }
 
-/// A deterministic SplitMix64 RNG for simulation decisions.
-#[derive(Clone, Debug)]
-pub struct SimRng(u64);
-
-impl SimRng {
-    /// Seeded generator (same seed, same stream).
-    pub fn new(seed: u64) -> Self {
-        SimRng(seed.wrapping_mul(2).wrapping_add(1))
-    }
-
-    /// The next 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    /// A value uniform in `0..n` (0 when `n == 0`).
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n.max(1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lbmf_sim::prelude::*;
 
     #[test]
     fn signal_costs_dominate_lest_by_orders_of_magnitude() {
@@ -188,24 +164,71 @@ mod tests {
         assert_eq!(entries[3], ("cache_to_cache", cm.cache_to_cache));
     }
 
-    #[test]
-    fn rng_is_deterministic() {
-        let mut a = SimRng::new(7);
-        let mut b = SimRng::new(7);
-        for _ in 0..10 {
-            assert_eq!(a.next_u64(), b.next_u64());
+    /// Drive CPU `i` until `probe(&machine)` changes, returning the cycle
+    /// charge of the step where it did.
+    fn step_until_changed(m: &mut Machine, i: usize, probe: impl Fn(&Machine) -> u64) -> u64 {
+        let before = probe(m);
+        for _ in 0..64 {
+            assert!(!m.cpus[i].halted, "cpu{i} halted before the probe changed");
+            let cost = m.apply(Transition::Step(i));
+            if probe(m) != before {
+                return cost;
+            }
         }
-        let mut c = SimRng::new(8);
-        assert_ne!(a.next_u64(), c.next_u64());
+        panic!("probe did not change within 64 steps");
     }
 
     #[test]
-    fn below_is_in_range() {
-        let mut r = SimRng::new(3);
-        for _ in 0..100 {
-            assert!(r.below(5) < 5);
+    fn cycle_machine_charges_exactly_the_calibratable_entries() {
+        let machine = |programs| Machine::new(MachineConfig::default(), CostModel::default(), programs);
+        let mut measured = Vec::new();
+
+        // Dekker handoff: CPU 0 publishes its flag and fences over an
+        // empty store buffer; CPU 1 pulls the flag line from Modified.
+        let mut w = ProgramBuilder::new("dekker-writer");
+        w.st(Addr(1), 1u64).mfence().halt();
+        let mut r = ProgramBuilder::new("dekker-reader");
+        r.ld(0, Addr(1)).halt();
+        let mut m = machine(vec![w.build(), r.build()]);
+        measured.push(("mfence", step_until_changed(&mut m, 0, |m| m.stats.mfences)));
+        measured.push(("cache_to_cache", step_until_changed(&mut m, 1, |m| m.stats.cache_to_cache)));
+        assert_eq!(m.stats.link_breaks_remote, 0, "no link to break in the handoff");
+
+        // Steal probe, requester side: the victim guards its flag store
+        // with an l-mfence; the thief's probe load breaks the link and
+        // pays the cache-to-cache transfer plus the LE/ST round trip.
+        let mut v = ProgramBuilder::new("steal-victim");
+        v.lmfence(Addr(1), 1u64).halt();
+        let mut t = ProgramBuilder::new("steal-thief");
+        t.ld(0, Addr(1)).halt();
+        let mut m = machine(vec![v.build(), t.build()]);
+        for _ in 0..4 {
+            m.apply(Transition::Step(0));
         }
-        assert_eq!(r.below(0), 0);
-        assert_eq!(r.below(1), 0);
+        assert!(m.cpus[0].le_bit, "victim's link must be set before the probe");
+        let probe = step_until_changed(&mut m, 1, |m| m.stats.link_breaks_remote);
+        assert_eq!(m.stats.link_breaks_remote, 1);
+        measured.push(("serialize_requester_lest", probe));
+
+        // Steal probe, victim side: the forced flush drains the guarded
+        // store to a line the victim already owns (the second fence's
+        // drain, after the first store made the line Modified).
+        let mut b = ProgramBuilder::new("steal-victim-drain");
+        b.st(Addr(5), 1u64).mfence().st(Addr(5), 2u64).mfence().halt();
+        let mut m = machine(vec![b.build()]);
+        step_until_changed(&mut m, 0, |m| m.stats.mfences);
+        assert_eq!(m.stats.store_completions, 1);
+        let drain = step_until_changed(&mut m, 0, |m| m.stats.store_completions);
+        measured.push(("serialize_victim_lest", drain));
+
+        let entries = DesCosts::default().calibratable_entries();
+        assert_eq!(measured.len(), entries.len());
+        for (name, des_cycles) in entries {
+            let (_, sim_cycles) = measured
+                .iter()
+                .find(|(n, _)| *n == name)
+                .unwrap_or_else(|| panic!("no kernel measures DES entry `{name}`"));
+            assert_eq!(*sim_cycles, des_cycles, "{name}: cycle machine vs DES cost table");
+        }
     }
 }

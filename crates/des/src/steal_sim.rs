@@ -11,8 +11,9 @@
 //! prototype). Virtual time advances by always stepping the worker with
 //! the smallest clock.
 
-use crate::costs::{DesCosts, SerializeKind, SimRng};
+use crate::costs::{DesCosts, SerializeKind};
 use crate::dag::{Step, Task};
+use lbmf_prng::{Rng, SplitMix64};
 use lbmf_trace::{EventKind, FenceEvent, ThreadTrace, TraceSnapshot};
 use std::collections::VecDeque;
 
@@ -238,7 +239,7 @@ fn run(root: Task, cfg: &StealSimConfig, trace: &mut SimTrace) -> StealSimResult
         ip: 0,
     });
     let mut spawns: Vec<Spawn> = Vec::new();
-    let mut rng = SimRng::new(cfg.seed);
+    let mut rng = SplitMix64::new(cfg.seed.wrapping_mul(2).wrapping_add(1));
     let mut res = StealSimResult {
         makespan: 0,
         total_work: 0,
@@ -279,7 +280,7 @@ fn advance(
     w: usize,
     workers: &mut [Worker],
     spawns: &mut Vec<Spawn>,
-    rng: &mut SimRng,
+    rng: &mut SplitMix64,
     cfg: &StealSimConfig,
     res: &mut StealSimResult,
     trace: &mut SimTrace,
@@ -399,7 +400,7 @@ fn try_steal(
     w: usize,
     workers: &mut [Worker],
     spawns: &mut [Spawn],
-    rng: &mut SimRng,
+    rng: &mut SplitMix64,
     cfg: &StealSimConfig,
     res: &mut StealSimResult,
     trace: &mut SimTrace,
@@ -410,7 +411,7 @@ fn try_steal(
         return;
     }
     // Probe one random victim per action, as the real thief loop does.
-    let mut v = rng.below(cfg.workers as u64 - 1) as usize;
+    let mut v = (rng.next_u64() % (cfg.workers as u64 - 1)) as usize;
     if v >= w {
         v += 1;
     }
@@ -460,7 +461,7 @@ fn try_steal(
     // through serial chains (cholesky, lu) keep deques at one item and
     // lose often — the paper's poor-conversion cases; leaf-heavy DAGs
     // (fib) rarely expose a last item.
-    let race_lost = workers[v].deque.len() == 1 && rng.below(2) == 0;
+    let race_lost = workers[v].deque.len() == 1 && rng.next_u64().is_multiple_of(2);
     if race_lost {
         cost += cfg.sched.failed_steal_backoff;
     } else {

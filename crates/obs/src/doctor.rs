@@ -220,11 +220,10 @@ impl DoctorReport {
         self.healthz_reasons.is_empty() && self.shards.iter().all(|d| d.problems.is_empty())
     }
 
-    /// Machine-readable report (`lbmf-doctor/1`) — the same shape of
-    /// output `lbmf-obs pmu --json` emits, so CI consumes both planes
-    /// through one parser.
+    /// Machine-readable report (`lbmf-doctor/1`), rendered through the
+    /// shared [`lbmf_trace::json`] writer.
     pub fn render_json(&self) -> String {
-        use crate::json::{obj, Json};
+        use lbmf_trace::json::{obj, Json};
         let shards = self
             .shards
             .iter()
@@ -432,6 +431,7 @@ z{a=\"with \\\"quote\\\" and \\\\ back\",shard=\"7\"} 9
 
     #[test]
     fn render_json_carries_the_verdict_and_the_evidence() {
+        use lbmf_trace::json::{self, Json};
         let stuck = ShardHealthSample {
             shard: 2,
             epoch: 40,
@@ -445,16 +445,16 @@ z{a=\"with \\\"quote\\\" and \\\\ back\",shard=\"7\"} 9
         let mut report = diagnose(&parse_exposition(&text).unwrap(), 1_000_000_000);
         report.healthz_reasons.push("watchdog: shard 2 wedged".into());
         let json = report.render_json();
-        let v = crate::json::parse(&json).expect("doctor json parses");
-        assert_eq!(v.get("schema").and_then(crate::json::Json::as_str), Some("lbmf-doctor/1"));
-        assert_eq!(v.get("healthy"), Some(&crate::json::Json::Bool(false)));
-        let shards = v.get("shards").and_then(crate::json::Json::as_arr).unwrap();
+        let v = json::parse(&json).expect("doctor json parses");
+        assert_eq!(v.get("schema").and_then(Json::as_str), Some("lbmf-doctor/1"));
+        assert_eq!(v.get("healthy"), Some(&Json::Bool(false)));
+        let shards = v.get("shards").and_then(Json::as_arr).unwrap();
         assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].get("shard").and_then(crate::json::Json::as_u64), Some(2));
-        assert_eq!(shards[0].get("stuck_readers").and_then(crate::json::Json::as_u64), Some(1));
-        let problems = shards[0].get("problems").and_then(crate::json::Json::as_arr).unwrap();
+        assert_eq!(shards[0].get("shard").and_then(Json::as_u64), Some(2));
+        assert_eq!(shards[0].get("stuck_readers").and_then(Json::as_u64), Some(1));
+        let problems = shards[0].get("problems").and_then(Json::as_arr).unwrap();
         assert!(problems[0].as_str().unwrap().contains("worst slot"));
-        let hz = v.get("healthz_reasons").and_then(crate::json::Json::as_arr).unwrap();
+        let hz = v.get("healthz_reasons").and_then(Json::as_arr).unwrap();
         assert_eq!(hz[0].as_str(), Some("watchdog: shard 2 wedged"));
     }
 

@@ -16,8 +16,8 @@
 //! per-phase percentiles it prints how many chains were complete versus
 //! orphaned and how many events ring wrap destroyed.
 
-use crate::json::{parse, Json};
 use lbmf_trace::causal::{ChainSet, Phase};
+use lbmf_trace::json::{parse, Json};
 use lbmf_trace::{EventKind, FenceEvent, ThreadTrace, TraceSnapshot};
 use std::collections::BTreeMap;
 

@@ -18,12 +18,10 @@
 //!   ids, and prints per-phase latency attribution (queue → delivery →
 //!   drain → ack) with orphan/lossiness accounting — the offline half of
 //!   the cross-thread flight recorder.
-//! * **`sim` / `calibrate` / `validate`** ([`sim`]) point the observatory
-//!   at the cycle-accurate simulator: `sim` attributes coherence traffic
-//!   to the instruction classes that caused it and compares the l-mfence
-//!   and mfence serialization bills, `calibrate` replays distilled
-//!   Dekker-handoff and steal-probe kernels on both simulators and gates
-//!   on DES-cost-table drift, and `validate` structurally checks any
+//! * **`sim` / `validate`** ([`sim`]) point the observatory at the
+//!   cycle-accurate simulator: `sim` attributes coherence traffic to the
+//!   instruction classes that caused it and compares the l-mfence and
+//!   mfence serialization bills, and `validate` structurally checks any
 //!   exported Chrome trace (flow pairing included).
 //! * **`serve`** ([`http`], [`metrics`]) exposes `/metrics` (Prometheus
 //!   exposition format: the live trace-ring export plus fence counters)
@@ -43,22 +41,23 @@
 //!   committed `BENCH_*.json` recordings and reports %/recording slopes
 //!   against each benchmark's own noise floor — the slow-drift detector
 //!   pairwise `compare` cannot be.
-//! * **`pmu`** ([`pmu`]) re-runs the fence suite under hardware PMU
-//!   counter groups (`lbmf-pmu`, raw `perf_event_open`) and prints a
-//!   per-strategy attribution table — cycles, IPC, cache misses, stall
-//!   cycles per op — with `--json` / `--prometheus` renders and a
-//!   read-asymmetry verdict that gates only when real counters backed
-//!   it; unprivileged hosts get a reported `rdtscp` cycles-only
-//!   fallback, never a failure.
+//! * **`pmu`** ([`pmu`]) is a view over a recording: every suite row
+//!   `record` measures carries a hardware-counter block (`lbmf-pmu`, raw
+//!   `perf_event_open`), and `pmu` prints them as a per-strategy
+//!   attribution table — cycles, IPC, cache misses, stall cycles per op
+//!   — with a read-asymmetry verdict that gates only when real counters
+//!   backed it; unprivileged hosts record a reported `rdtscp`
+//!   cycles-only fallback, never a failure.
 //!
-//! `doctor`, `heat` and `pmu` all fetch their exposition text through
-//! one dual-source helper ([`source`]): `--snapshot FILE` or a live
+//! `doctor` and `heat` fetch their exposition text through one
+//! dual-source helper ([`source`]): `--snapshot FILE` or a live
 //! `--addr` scrape.
 //!
-//! Everything is std-only ([`json`] is a hand-rolled parser/writer) —
-//! the observatory obeys the same offline-build rule as the runtime it
-//! watches, and its instrumentation reads are all drainer-side: scraping
-//! `/metrics` never adds a fence to the traced fast path.
+//! Everything is std-only (JSON goes through [`lbmf_trace::json`], a
+//! hand-rolled parser/writer) — the observatory obeys the same
+//! offline-build rule as the runtime it watches, and its
+//! instrumentation reads are all drainer-side: scraping `/metrics`
+//! never adds a fence to the traced fast path.
 
 #![warn(missing_docs)]
 
@@ -67,7 +66,6 @@ pub mod doctor;
 pub mod explain;
 pub mod heat;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod pmu;
 pub mod schema;

@@ -1,11 +1,10 @@
 //! `lbmf-obs` CLI: `record`, `compare`, `serve`, plus the simulator-facing
-//! `sim`, `calibrate` and `validate`. See `lbmf_obs` (the library half)
+//! `sim` and `validate`. See `lbmf_obs` (the library half)
 //! for what each subcommand is made of, and EXPERIMENTS.md for the
 //! recipes CI and humans follow.
 
 use lbmf_bench::Args;
 use lbmf_obs::schema::{bench_files, next_index, BenchReport};
-use lbmf_obs::sim::CalibrationReport;
 use lbmf_obs::{compare, doctor, explain, heat, http, metrics, pmu, sim, source, suite, trend};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -25,10 +24,9 @@ USAGE:
                      [--json]
     lbmf-obs heat    [--addr HOST:PORT | --snapshot PATH] [--top N] [--prometheus]
                      [--expect-theta F [--theta-tol F]] [--require-heat]
-    lbmf-obs pmu     [--quick] [--json] [--prometheus] [--addr HOST:PORT | --snapshot PATH]
+    lbmf-obs pmu     [PATH] [--dir DIR]
     lbmf-obs trend   [--dir DIR]
     lbmf-obs sim     [--iters N] [--prometheus]
-    lbmf-obs calibrate [--tolerance PCT] [--out PATH] [--advisory]
     lbmf-obs validate TRACE.json [TRACE.json ...]
 
 record:   run the benchmark suite, write BENCH_<n>.json (next free n, floor 3).
@@ -69,23 +67,18 @@ heat:     the workload observatory: reassemble the hot-key / shard-skew
           --expect-theta F exits 2 unless every store's theta lands
           within --theta-tol (default 0.1) of F; --require-heat exits 1
           when no heat families were found at all (disarmed plane).
-pmu:      the microarchitectural observatory: re-run the fence suite
-          (E1 dekker entry per strategy, raw fence costs, the store
-          read path symmetric-vs-signal, the E2 serialize round trip)
-          under hardware PMU counter groups and print per-strategy
-          attribution — cycles, IPC, cache misses and stall cycles per
-          op. Hosts without perf_event_open degrade to a reported
-          rdtscp cycles-only fallback (also forceable with
-          LBMF_PMU_FORCE=tsc), never a failure. --json emits an
-          lbmf-pmu/1 document instead of the table; --prometheus emits
-          exposition-format gauges (milli-units) whose output is itself
-          a valid --snapshot input; --addr/--snapshot re-verdict a
-          previously exported exposition instead of measuring. Exits
-          2 when real counters show the store read path is NOT
-          asymmetric (symmetric must retire measurably more stall
-          cycles per read than signal); under the tsc fallback that
-          verdict is advisory, because a TSC delta cannot attribute
-          why cycles were spent.
+pmu:      the microarchitectural view of a recording: per-strategy
+          attribution (cycles, IPC, cache misses and stall cycles per
+          op) from the pmu blocks `record` stores on every measured row
+          of PATH (default: the newest BENCH_*.json under --dir). Hosts
+          without perf_event_open record a reported rdtscp cycles-only
+          fallback (also forceable at record time with
+          LBMF_PMU_FORCE=tsc), which the view names. Exits 2 when real
+          counters show the store read path is NOT asymmetric
+          (symmetric must retire measurably more stall cycles per read
+          than signal); under the tsc fallback that verdict is
+          advisory, because a TSC delta cannot attribute why cycles
+          were spent.
 trend:    fit every benchmark's mean across ALL committed BENCH_*.json
           recordings (index order) and report %/recording slopes vs each
           benchmark's noise floor. Advisory: always exits 0.
@@ -94,11 +87,6 @@ sim:      run the cycle simulator's Dekker handoff under l-mfence and
           per-(op, instruction class) bus transactions, link clears by
           reason, and the serialization bill with who paid it.
           --prometheus additionally prints the exposition-format counters.
-calibrate: replay distilled Dekker-handoff / steal-probe kernels on the
-          cycle machine and compare each measured cost against the DES
-          cost table, writing an lbmf-calib/1 report (--out). Exits 2 when
-          any entry drifts past --tolerance PCT (default 10) unless
-          --advisory downgrades that to a warning.
 validate: structurally validate exported Chrome traces (flow-event
           pairing included) without any further interpretation.
 ";
@@ -115,10 +103,9 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(&args),
         Some("doctor") => cmd_doctor(&args),
         Some("heat") => cmd_heat(&args),
-        Some("pmu") => cmd_pmu(&args),
+        Some("pmu") => cmd_pmu(&rest),
         Some("trend") => cmd_trend(&args),
         Some("sim") => cmd_sim(&args),
-        Some("calibrate") => cmd_calibrate(&args),
         Some("validate") => cmd_validate(&rest),
         Some("--help") | Some("-h") | Some("help") | None => {
             print!("{USAGE}");
@@ -424,43 +411,34 @@ fn cmd_heat(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_pmu(args: &Args) -> ExitCode {
-    // Dual-source like doctor/heat: with --snapshot/--addr the report
-    // is reassembled from exported exposition gauges and re-verdicted;
-    // otherwise the fence suite runs live under counters.
-    let report = if args.value("--snapshot").is_some() || args.value("--addr").is_some() {
-        let text = match source::fetch_exposition(args, None) {
-            Ok(t) => t,
-            Err(e) => return fail(&e),
-        };
-        let samples = match doctor::parse_exposition(&text) {
-            Ok(s) => s,
-            Err(e) => return fail(&format!("unparseable metrics: {e}")),
-        };
-        match pmu::PmuReport::from_exposition(&samples) {
-            Ok(r) => r,
-            Err(e) => return fail(&format!("malformed pmu families: {e}")),
+fn cmd_pmu(rest: &[&str]) -> ExitCode {
+    // `pmu [PATH]`: an explicit recording, else the newest under --dir.
+    let mut path = None;
+    let mut skip_next = false;
+    for a in rest {
+        if skip_next {
+            skip_next = false;
+        } else if *a == "--dir" {
+            skip_next = true;
+        } else if a.starts_with("--") {
+            return fail(&format!("unknown flag {a:?}\n\n{USAGE}"));
+        } else if path.replace(PathBuf::from(a)).is_some() {
+            return fail("pmu reads one recording");
         }
-    } else {
-        pmu::run(args.flag("--quick"))
+    }
+    let dir = dir_of(&Args::from(rest));
+    let Some(path) = path.or_else(|| bench_files(&dir).pop().map(|(_, p)| p)) else {
+        return fail(&format!("no BENCH_*.json under {}", dir.display()));
+    };
+    let report = match BenchReport::load(&path) {
+        Ok(r) => pmu::PmuReport::from_recording(&r),
+        Err(e) => return fail(&e),
     };
     if report.is_vacuous() {
-        return fail("no lbmf_pmu_* families found in the exposition");
+        return fail(&format!("{}: no benchmark carries a pmu block", path.display()));
     }
-    if args.flag("--json") {
-        let text = report.render_json();
-        // Round-trip before printing, same contract as `record`.
-        if let Err(e) = pmu::PmuReport::parse(&text) {
-            return fail(&format!("internal error: report fails self-parse: {e}"));
-        }
-        print!("{text}");
-    } else if args.flag("--prometheus") {
-        // Exposition only, so the output is itself a valid --snapshot
-        // input (the re-verdict round trip ci.sh exercises).
-        print!("{}", report.render_prometheus());
-    } else {
-        print!("{}", report.render());
-    }
+    println!("recording: {}", path.display());
+    print!("{}", report.render());
     match report.read_asymmetry() {
         Some(a) if !a.ok() && a.hard => {
             eprintln!(
@@ -511,41 +489,6 @@ fn cmd_sim(args: &Args) -> ExitCode {
         for s in &strategies {
             println!("\n# strategy {}", s.label);
             print!("{}", s.prometheus);
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_calibrate(args: &Args) -> ExitCode {
-    let tolerance: f64 = match args.value("--tolerance") {
-        Some(v) => match v.parse() {
-            Ok(t) if t >= 0.0 => t,
-            _ => return fail("--tolerance needs a non-negative percentage"),
-        },
-        None => 10.0,
-    };
-    let report = CalibrationReport::run(tolerance);
-    print!("{}", report.render_text());
-    if let Some(out) = args.value("--out") {
-        let text = report.render_json();
-        // Round-trip before writing, same contract as `record`.
-        if let Err(e) = CalibrationReport::parse(&text) {
-            return fail(&format!("internal error: report fails self-parse: {e}"));
-        }
-        if let Some(parent) = PathBuf::from(out).parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        if let Err(e) = std::fs::write(out, &text) {
-            return fail(&format!("write {out}: {e}"));
-        }
-        println!("wrote {out}");
-    }
-    if !report.all_within() {
-        if args.flag("--advisory") {
-            eprintln!("calibration gate (advisory): divergence past ±{tolerance}% — not failing the build");
-        } else {
-            eprintln!("calibration gate: divergence past ±{tolerance}%");
-            return ExitCode::from(2);
         }
     }
     ExitCode::SUCCESS

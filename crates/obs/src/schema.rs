@@ -50,7 +50,7 @@
 //! accepts v1 files and `compare` treats serialize moves within one
 //! bucket (2×) as granularity, not signal.
 
-use crate::json::{obj, parse, Json};
+use lbmf_trace::json::{obj, parse, Json};
 use lbmf::stats::FenceStatsSnapshot;
 use lbmf_bench::criterion::BenchResult;
 use lbmf_pmu::{PmuReading, PmuSource};
@@ -67,23 +67,6 @@ pub const SCHEMA_V2: &str = "lbmf-bench/2";
 /// `serialize` percentiles are bucket upper bounds instead of midpoints
 /// (a within-one-bucket difference `compare` already tolerates).
 pub const SCHEMA_V1: &str = "lbmf-bench/1";
-
-/// Schema identifier of the DES-vs-sim calibration report written by
-/// `lbmf-obs calibrate` (see [`crate::sim`]).
-pub const CALIB_SCHEMA: &str = "lbmf-calib/1";
-
-/// Require `root` to carry exactly the schema tag `want` — the shared
-/// first step of every schema-versioned parse in this crate.
-pub fn check_schema(root: &Json, want: &str) -> Result<(), String> {
-    let schema = root
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing \"schema\"")?;
-    if schema != want {
-        return Err(format!("unsupported schema {schema:?} (expected {want:?})"));
-    }
-    Ok(())
-}
 
 /// Where the recording host ran; compared files from different hosts get
 /// a loud warning instead of a silent apples-to-oranges delta.
@@ -399,7 +382,7 @@ fn round6(x: f64) -> f64 {
 
 /// Render one schema-v3 `pmu` block. Key set and omission rules match
 /// the JSONL writer in `lbmf_bench::criterion::pmu_to_json`.
-pub(crate) fn pmu_to_json(p: &PmuReading) -> Json {
+fn pmu_to_json(p: &PmuReading) -> Json {
     let mut fields = vec![
         ("source", Json::Str(p.source.name().to_string())),
         ("ops", Json::Num(p.ops as f64)),
@@ -424,7 +407,7 @@ pub(crate) fn pmu_to_json(p: &PmuReading) -> Json {
 /// Parse and validate one `pmu` block, enforcing the degradation
 /// contract: a `tsc` reading must say why it degraded, and a `perf`
 /// reading must not carry a degradation excuse.
-pub(crate) fn pmu_from_json(p: &Json, bench: &str) -> Result<PmuReading, String> {
+fn pmu_from_json(p: &Json, bench: &str) -> Result<PmuReading, String> {
     let source_name = p
         .get("source")
         .and_then(Json::as_str)

@@ -1,13 +1,13 @@
-//! The dual-source exposition fetch every gauge-consuming subcommand
-//! shares (`doctor`, `heat`, `pmu`): `--snapshot PATH` reads exposition
+//! The dual-source exposition fetch both gauge-consuming subcommands
+//! share (`doctor`, `heat`): `--snapshot PATH` reads exposition
 //! text from a file, otherwise `--addr` (default [`DEFAULT_ADDR`]) is
 //! scraped with bounded connect/read timeouts and exactly one retry
 //! ([`crate::http::scrape`]) — a dead address is a prompt, explicit
 //! failure, never a hang.
 //!
-//! Defined once so the three consumers cannot drift: a snapshot written
-//! by the DES, a live `/metrics` scrape, and a re-verdicted PMU export
-//! all arrive through the same code path and the same error wording.
+//! Defined once so the consumers cannot drift: a snapshot written by
+//! the DES and a live `/metrics` scrape arrive through the same code
+//! path and the same error wording.
 
 use crate::http;
 use lbmf_bench::Args;

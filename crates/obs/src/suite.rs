@@ -10,7 +10,9 @@
 //! * `dekker_entry/*` — E1, the uncontended primary fast path per
 //!   strategy (the headline asymmetric-vs-`mfence` number);
 //! * `fence/*` — the raw cost of the two fence flavours, for scale;
-//! * `serialize/signal_roundtrip` — E2, one remote serialization;
+//! * `serialize/*_roundtrip` — E2, one remote serialization per
+//!   mechanism (signal handshake, and `membarrier(2)` where the kernel
+//!   supports it);
 //! * `steal/fib_test` — a whole ACilk-5 work-stealing run, the
 //!   macro-benchmark the fast-path numbers are supposed to add up to;
 //! * `store/get/*`, `store/put/signal` — the lbmf-store serving tier:
@@ -23,13 +25,14 @@ use crate::schema::{BenchEntry, BenchReport, HostMeta, SerializeLatency};
 use lbmf::dekker::AsymmetricDekker;
 use lbmf::fence::{compiler_fence_only, full_fence};
 use lbmf::registry::register_current_thread;
-use lbmf::strategy::{FenceStrategy, NoFence, SignalFence, Symmetric};
+use lbmf::strategy::{FenceStrategy, MembarrierFence, NoFence, SignalFence, Symmetric};
 use lbmf_bench::criterion::{BenchResult, Criterion};
 use lbmf_cilk::bench::{Kernel, Scale};
 use lbmf_cilk::Scheduler;
 use lbmf_des::SerializeKind;
 use lbmf_store::workload::CYCLES_PER_NS;
 use lbmf_store::{ReclaimMode, Store, WorkloadCfg};
+use lbmf_trace::json::{self, Json};
 use lbmf_trace::EventKind;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -75,17 +78,15 @@ fn bench_dekker_entry<S: FenceStrategy>(
     })
 }
 
-/// A parked thread that serves as the remote-serialization target —
-/// shared with [`crate::pmu`] so E2 prices the same round trip under
-/// both clocks and counters.
-pub(crate) struct Target {
-    pub(crate) remote: lbmf::registry::RemoteThread,
+/// A parked thread that serves as the remote-serialization target.
+struct Target {
+    remote: lbmf::registry::RemoteThread,
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Target {
-    pub(crate) fn spawn() -> Self {
+    fn spawn() -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
         let (tx, rx) = std::sync::mpsc::channel();
@@ -118,8 +119,7 @@ impl Drop for Target {
 
 /// The store's read fast path, uncontended: the canonical
 /// [`lbmf_store::ReadLoop`] (one epoch-pinned lookup per iteration over
-/// a prefilled working set) — the same loop `lbmf-obs pmu` attributes
-/// hardware counters to. Under `Symmetric` every lookup drains the
+/// a prefilled working set). Under `Symmetric` every lookup drains the
 /// store buffer at the l-mfence position; under the asymmetric
 /// strategies the same position is a compiler fence — the delta between
 /// the two entries is the paper's read-side win priced on a real data
@@ -231,6 +231,9 @@ pub fn run(quick: bool) -> BenchReport {
     benchmarks.push(bench_dekker_entry(&mut c, "dekker_entry/symmetric", Arc::new(Symmetric::new())));
     benchmarks.push(bench_dekker_entry(&mut c, "dekker_entry/signal", Arc::new(SignalFence::new())));
     benchmarks.push(bench_dekker_entry(&mut c, "dekker_entry/no_fence", Arc::new(NoFence::new())));
+    if let Some(m) = MembarrierFence::try_new() {
+        benchmarks.push(bench_dekker_entry(&mut c, "dekker_entry/membarrier", Arc::new(m)));
+    }
 
     // Raw fence costs, for scale.
     c.bench_function("fence/full_fence", |b| {
@@ -262,6 +265,13 @@ pub fn run(quick: bool) -> BenchReport {
         });
         entry.serialize = serialize_latency_now().filter(|sl| sl.count > hist_before);
         benchmarks.push(entry);
+        // The kernel-assisted mechanism against the same parked target.
+        if let Some(m) = MembarrierFence::try_new() {
+            let strategy = Arc::new(m);
+            benchmarks.push(bench_with_stats(&mut c, "serialize/membarrier_roundtrip", &strategy, |b| {
+                b.iter(|| strategy.serialize_remote(&target.remote))
+            }));
+        }
     }
 
     // The macro-benchmark: a whole work-stealing fib run on the
@@ -327,17 +337,17 @@ pub fn run(quick: bool) -> BenchReport {
 /// hook) into a report as timing-only entries. Rows whose names collide
 /// with suite entries are suffixed `@ingest` rather than dropped.
 pub fn ingest_jsonl(report: &mut BenchReport, text: &str) -> Result<usize, String> {
-    let rows = crate::json::parse_lines(text)?;
+    let rows = json::parse_lines(text)?;
     let mut added = 0;
     for row in &rows {
         let get = |k: &str| {
             row.get(k)
-                .and_then(crate::json::Json::as_f64)
+                .and_then(Json::as_f64)
                 .ok_or_else(|| format!("ingest row missing number {k:?}"))
         };
         let mut name = row
             .get("name")
-            .and_then(crate::json::Json::as_str)
+            .and_then(Json::as_str)
             .ok_or("ingest row missing \"name\"")?
             .to_string();
         if report.entry(&name).is_some() {

@@ -20,9 +20,9 @@ fn repo_root() -> PathBuf {
 
 fn fixture_schema(path: &PathBuf) -> String {
     let text = std::fs::read_to_string(path).unwrap();
-    let v = lbmf_obs::json::parse(&text).unwrap();
+    let v = lbmf_trace::json::parse(&text).unwrap();
     v.get("schema")
-        .and_then(lbmf_obs::json::Json::as_str)
+        .and_then(lbmf_trace::json::Json::as_str)
         .expect("fixture has a schema tag")
         .to_string()
 }

@@ -211,7 +211,7 @@ enum Op {
     Lmfence(u64, u64),
 }
 
-/// One random op with the original proptest weights
+/// One random op, weighted
 /// (load 4 : store 4 : fence 1 : l-mfence 2).
 fn random_op(rng: &mut SplitMix64) -> Op {
     match rng.bounded_u64(11) {
@@ -302,48 +302,5 @@ fn final_state_protocol_independent() {
         // memory must agree exactly.
         assert_eq!(msi, mesi, "MSI vs MESI diverged");
         assert_eq!(mesi, moesi, "MESI vs MOESI diverged");
-    }
-}
-
-/// The original proptest forms. Compiled only with `--features proptest`
-/// after restoring the `proptest` dev-dependency (registry access
-/// required).
-#[cfg(feature = "proptest")]
-mod proptest_originals {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            4 => (0u8..4, 0u64..4).prop_map(|(r, a)| Op::Load(r, a)),
-            4 => (0u64..4, 1u64..16).prop_map(|(a, v)| Op::Store(a, v)),
-            1 => Just(Op::Fence),
-            2 => (0u64..4, 1u64..16).prop_map(|(a, v)| Op::Lmfence(a, v)),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-        #[test]
-        fn random_programs_satisfy_invariants_under_all_protocols_pt(
-            ops0 in proptest::collection::vec(op_strategy(), 0..10),
-            ops1 in proptest::collection::vec(op_strategy(), 0..10),
-            seed in any::<u64>(),
-            proto_idx in 0usize..3,
-        ) {
-            let cfg = MachineConfig {
-                record_trace: true,
-                coherence: PROTOCOLS[proto_idx],
-                ..MachineConfig::default()
-            };
-            let progs = vec![build("p0", &ops0), build("p1", &ops1)];
-            let mut m = Machine::new(cfg, CostModel::zero(), progs);
-            let mut rng = SplitMix64::seed_from_u64(seed);
-            prop_assert!(m.run_random(&mut rng, 100_000));
-            if let Err(e) = check_all(&m, &[]) {
-                return Err(TestCaseError::fail(e));
-            }
-        }
     }
 }

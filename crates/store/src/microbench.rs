@@ -1,9 +1,10 @@
 //! The canonical read-path microbench loop, shared by every harness
 //! that prices a store lookup.
 //!
-//! `lbmf-obs record` (wall-clock, suite `store/get/*`) and `lbmf-obs
-//! pmu` (hardware counters) must drive the *same* loop — same shard
-//! count, same prefilled working set, same key stride — or their
+//! `lbmf-obs record` times it (suite `store/get/*`) under the same
+//! hardware counter scope that `lbmf-obs pmu` reads back. Any other
+//! harness that prices a lookup must drive this *same* loop — same
+//! shard count, same prefilled working set, same key stride — or its
 //! numbers attribute different code. This module is that loop, defined
 //! once where the store lives.
 

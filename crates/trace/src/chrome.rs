@@ -14,32 +14,20 @@
 //! requester's `serialize-ack-observed` — one arrow chain per remote
 //! serialization.
 //!
-//! Also hosts [`validate`], a dependency-free structural self-check used
-//! by CI and the examples (it additionally enforces flow-event pairing:
-//! every `s` has a matching `f` under the same unique id), and
-//! [`from_check_trace`], which turns an `lbmf-check` counterexample trace
-//! into the same format so a model-checker violation opens in Perfetto
-//! next to a real-run trace.
+//! Also hosts [`validate`], a structural self-check over the
+//! [`crate::json`] tree used by CI and the examples (it additionally
+//! enforces flow-event pairing: every `s` has a matching `f` under the
+//! same unique id), and [`from_check_trace`], which turns an
+//! `lbmf-check` counterexample trace into the same format so a
+//! model-checker violation opens in Perfetto next to a real-run trace.
 
 use crate::causal::ChainSet;
+use crate::json::{escape_into, Json};
 use crate::{EventKind, TraceSnapshot};
 use std::fmt::Write as _;
 
 /// All process ids in one trace (Perfetto groups rows by pid/tid).
 const PID: u32 = 1;
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 /// An incremental Chrome trace-event JSON writer.
 ///
@@ -294,232 +282,42 @@ pub fn from_check_trace(trace: &str) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Self-check: a dependency-free structural validator.
+// Self-check: a structural validator over the parsed JSON tree.
 // ---------------------------------------------------------------------
 
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-    events: usize,
-    /// (ph, id) of every flow event (`s`/`t`/`f`) seen, for pairing checks.
-    flows: Vec<(char, String)>,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.i)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.s.get(self.i).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&c) = self.s.get(self.i) else {
-                return Err(self.err("unterminated string"));
-            };
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&e) = self.s.get(self.i) else {
-                        return Err(self.err("dangling escape"));
-                    };
-                    self.i += 1;
-                    match e {
-                        b'"' | b'\\' | b'/' => out.push(e as char),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' | b'f' => out.push(' '),
-                        b'u' => {
-                            if self.i + 4 > self.s.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            self.i += 4;
-                            out.push(' ');
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                }
-                c => out.push(c as char),
+/// Flow-event pairing: every `s` (start) must be matched by exactly one
+/// `f` (finish) under the same id, ids must be unique per chain (no
+/// reuse across starts), and a step or finish must never name an id
+/// that was never started.
+fn check_flows(flows: &[(char, String)]) -> Result<(), String> {
+    let ids_of = |want: char| {
+        flows
+            .iter()
+            .filter(move |(ph, _)| *ph == want)
+            .map(|(_, id)| id.as_str())
+    };
+    for want in ['s', 'f'] {
+        let mut seen: Vec<&str> = Vec::new();
+        for id in ids_of(want) {
+            if seen.contains(&id) {
+                return Err(format!("flow id {id} has more than one \"{want}\" event"));
             }
+            seen.push(id);
         }
     }
-
-    fn number(&mut self) -> Result<(), String> {
-        let start = self.i;
-        if self.s.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        while self
-            .s
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.i += 1;
-        }
-        if self.i == start {
-            Err(self.err("expected number"))
-        } else {
-            Ok(())
+    let starts: Vec<&str> = ids_of('s').collect();
+    for (ph, id) in flows {
+        if matches!(ph, 't' | 'f') && !starts.contains(&id.as_str()) {
+            return Err(format!("flow \"{ph}\" for id {id} has no matching \"s\" start"));
         }
     }
-
-    /// Parse any value; `as_event` checks the required trace-event keys.
-    fn value(&mut self, as_event: bool) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => self.object(as_event),
-            Some(b'[') => self.array(false),
-            Some(b'"') => self.string().map(|_| ()),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(_) => self.number(),
-            None => Err(self.err("unexpected end of input")),
+    let finishes: Vec<&str> = ids_of('f').collect();
+    for id in &starts {
+        if !finishes.contains(id) {
+            return Err(format!("flow \"s\" for id {id} has no matching \"f\" finish"));
         }
     }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.s[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn object(&mut self, as_event: bool) -> Result<(), String> {
-        self.eat(b'{')?;
-        let mut keys: Vec<String> = Vec::new();
-        let mut ph: Option<String> = None;
-        let mut id: Option<String> = None;
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-        } else {
-            loop {
-                let k = self.string()?;
-                self.eat(b':')?;
-                // Capture the raw value text of the keys the flow checks
-                // need; everything else is structurally validated and
-                // discarded.
-                self.skip_ws();
-                let vstart = self.i;
-                self.value(false)?;
-                if as_event && (k == "ph" || k == "id") {
-                    let raw = std::str::from_utf8(&self.s[vstart..self.i])
-                        .unwrap_or("")
-                        .trim()
-                        .trim_matches('"')
-                        .to_string();
-                    if k == "ph" {
-                        ph = Some(raw);
-                    } else {
-                        id = Some(raw);
-                    }
-                }
-                keys.push(k);
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b'}') => {
-                        self.i += 1;
-                        break;
-                    }
-                    _ => return Err(self.err("expected ',' or '}'")),
-                }
-            }
-        }
-        if as_event {
-            for required in ["name", "ph", "ts", "pid", "tid"] {
-                if !keys.iter().any(|k| k == required) {
-                    return Err(self.err(&format!("event missing \"{required}\"")));
-                }
-            }
-            if let Some(ph) = ph.as_deref() {
-                if let "s" | "t" | "f" = ph {
-                    let Some(id) = id else {
-                        return Err(self.err(&format!("flow event \"{ph}\" missing \"id\"")));
-                    };
-                    self.flows.push((ph.chars().next().unwrap(), id));
-                }
-            }
-            self.events += 1;
-        }
-        Ok(())
-    }
-
-    /// Flow-event pairing: every `s` (start) must be matched by exactly
-    /// one `f` (finish) under the same id, ids must be unique per chain
-    /// (no reuse across starts), and a step or finish must never name an
-    /// id that was never started.
-    fn check_flows(&self) -> Result<(), String> {
-        let ids_of = |want: char| {
-            self.flows
-                .iter()
-                .filter(move |(ph, _)| *ph == want)
-                .map(|(_, id)| id.as_str())
-        };
-        for want in ['s', 'f'] {
-            let mut seen: Vec<&str> = Vec::new();
-            for id in ids_of(want) {
-                if seen.contains(&id) {
-                    return Err(format!("flow id {id} has more than one \"{want}\" event"));
-                }
-                seen.push(id);
-            }
-        }
-        let starts: Vec<&str> = ids_of('s').collect();
-        for (ph, id) in &self.flows {
-            if matches!(ph, 't' | 'f') && !starts.contains(&id.as_str()) {
-                return Err(format!("flow \"{ph}\" for id {id} has no matching \"s\" start"));
-            }
-        }
-        let finishes: Vec<&str> = ids_of('f').collect();
-        for id in &starts {
-            if !finishes.contains(id) {
-                return Err(format!("flow \"s\" for id {id} has no matching \"f\" finish"));
-            }
-        }
-        Ok(())
-    }
-
-    fn array(&mut self, of_events: bool) -> Result<(), String> {
-        self.eat(b'[')?;
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.value(of_events)?;
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
+    Ok(())
 }
 
 /// Structurally validate Chrome trace-event JSON: well-formed JSON, a
@@ -528,47 +326,37 @@ impl<'a> Parser<'a> {
 /// `s` start matched by exactly one `f` finish under a unique id, no
 /// step/finish without a start). Returns the event count.
 pub fn validate(json: &str) -> Result<usize, String> {
-    let mut p = Parser {
-        s: json.as_bytes(),
-        i: 0,
-        events: 0,
-        flows: Vec::new(),
+    let root = crate::json::parse(json)?;
+    let events = match &root {
+        Json::Arr(events) => events,
+        Json::Obj(_) => match root.get("traceEvents") {
+            Some(Json::Arr(events)) => events,
+            Some(_) => return Err("\"traceEvents\" is not an array".into()),
+            None => return Err("no \"traceEvents\" array".into()),
+        },
+        _ => return Err("expected '{' or '['".into()),
     };
-    match p.peek() {
-        Some(b'[') => p.array(true)?,
-        Some(b'{') => {
-            p.eat(b'{')?;
-            let mut saw_trace_events = false;
-            loop {
-                let k = p.string()?;
-                p.eat(b':')?;
-                if k == "traceEvents" {
-                    saw_trace_events = true;
-                    p.array(true)?;
-                } else {
-                    p.value(false)?;
-                }
-                match p.peek() {
-                    Some(b',') => p.i += 1,
-                    Some(b'}') => {
-                        p.i += 1;
-                        break;
-                    }
-                    _ => return Err(p.err("expected ',' or '}'")),
-                }
-            }
-            if !saw_trace_events {
-                return Err("no \"traceEvents\" array".into());
+    let mut flows: Vec<(char, String)> = Vec::new();
+    for (i, event) in events.iter().enumerate() {
+        if !matches!(event, Json::Obj(_)) {
+            return Err(format!("event {i} is not an object"));
+        }
+        for required in ["name", "ph", "ts", "pid", "tid"] {
+            if event.get(required).is_none() {
+                return Err(format!("event {i} missing \"{required}\""));
             }
         }
-        _ => return Err("expected '{' or '['".into()),
+        if let Some(ph @ ("s" | "t" | "f")) = event.get("ph").and_then(Json::as_str) {
+            let id = match event.get("id") {
+                Some(Json::Str(id)) => id.clone(),
+                Some(id) => id.render(),
+                None => return Err(format!("event {i}: flow event \"{ph}\" missing \"id\"")),
+            };
+            flows.push((ph.chars().next().unwrap(), id));
+        }
     }
-    p.skip_ws();
-    if p.i != p.s.len() {
-        return Err(p.err("trailing garbage"));
-    }
-    p.check_flows()?;
-    Ok(p.events)
+    check_flows(&flows)?;
+    Ok(events.len())
 }
 
 /// `validate`, then additionally require at least one
@@ -646,6 +434,16 @@ mod tests {
         );
         assert!(validate("{\"traceEvents\":[]}extra").is_err());
         assert!(validate("").is_err());
+        assert!(
+            validate(r#"{"traceEvents":[{"name":"x","ph":"i","ts":1e+-,"pid":1,"tid":0}]}"#)
+                .is_err(),
+            "malformed number"
+        );
+        assert!(
+            validate(r#"{"traceEvents":[{"name":"\uZZZZ","ph":"i","ts":1,"pid":1,"tid":0}]}"#)
+                .is_err(),
+            "malformed \\u escape"
+        );
     }
 
     fn chain_snapshot(corr: u64) -> TraceSnapshot {

@@ -1,8 +1,8 @@
 //! A small JSON value model with a recursive-descent parser and a
-//! writer — the read side of the observatory. The trace crate already
-//! ships a *validating* parser for Chrome traces; `compare` additionally
-//! needs the parsed values back, so this module materializes a
-//! [`Json`] tree. No registry dependencies, by the repo's offline rule.
+//! writer — the workspace's one JSON reader. [`crate::chrome::validate`]
+//! walks the tree it builds, and `lbmf-obs` reads recordings, traces
+//! and JSONL collections through it. No registry dependencies, by the
+//! repo's offline rule.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -116,6 +116,12 @@ fn write_num(out: &mut String, n: f64) {
 
 fn write_str(out: &mut String, s: &str) {
     out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Append `s` to `out` with JSON string escaping, without the quotes.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -129,7 +135,6 @@ fn write_str(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
-    out.push('"');
 }
 
 /// Parse one JSON document; trailing non-whitespace is an error.

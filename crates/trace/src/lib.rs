@@ -40,7 +40,7 @@
 //! ## Exporters
 //!
 //! * [`chrome`] — Chrome trace-event JSON, loadable in Perfetto or
-//!   `chrome://tracing`, with a dependency-free JSON self-check;
+//!   `chrome://tracing`, with a structural self-check over [`json`];
 //! * [`prometheus`] — a flat Prometheus-style text dump;
 //! * [`summary`] — a per-run plain-text summary table.
 
@@ -50,6 +50,7 @@ pub mod causal;
 pub mod chrome;
 pub mod gauge;
 pub mod histogram;
+pub mod json;
 pub mod prometheus;
 pub mod ring;
 pub mod sketch;

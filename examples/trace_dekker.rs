@@ -17,7 +17,7 @@ use lbmf::strategy::{FenceStrategy, SignalFence};
 use lbmf_repro::trace::causal::ChainSet;
 use lbmf_repro::trace::{chrome, prometheus, summary, take_snapshot, EventKind};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const SECONDARY_LOCKS: u64 = 25;
 
@@ -28,14 +28,19 @@ fn main() {
 
     let dekker = Arc::new(AsymmetricDekker::new(Arc::new(SignalFence::new())));
     let done = Arc::new(AtomicBool::new(false));
+    // The secondary starts only once the primary is registered: a
+    // secondary lock with no registered primary serializes nobody.
+    let registered = Arc::new(Barrier::new(2));
 
     let primary = {
         let dekker = dekker.clone();
         let done = done.clone();
+        let registered = registered.clone();
         std::thread::Builder::new()
             .name("dekker-primary".into())
             .spawn(move || {
                 let primary = dekker.register_primary();
+                registered.wait();
                 let mut entries = 0u64;
                 while !done.load(Ordering::Relaxed) {
                     primary.with_lock(|| entries += 1);
@@ -50,6 +55,7 @@ fn main() {
         std::thread::Builder::new()
             .name("dekker-secondary".into())
             .spawn(move || {
+                registered.wait();
                 for _ in 0..SECONDARY_LOCKS {
                     let _g = dekker.secondary_lock();
                 }
