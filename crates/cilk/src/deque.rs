@@ -9,7 +9,8 @@
 //!
 //! ```text
 //! victim pop:   T--; FENCE; if H > T  -> conflict path under lock
-//! thief steal:  lock; H++; FENCE; serialize(victim); if H > T -> retreat
+//! thief steal:  if H >= T (unserialized peek) -> empty, nothing taken
+//!               lock; H++; FENCE; serialize(victim); if H > T -> retreat
 //! ```
 //!
 //! The victim's `FENCE` is the `l-mfence` position: the symmetric runtime
@@ -23,6 +24,7 @@ use crate::stats::WorkerStats;
 use crate::tracing::{trace_event_corr, trace_mint_corr};
 use lbmf::hooks::{load_i64, load_ptr, store_i64, store_ptr};
 use lbmf::registry::RemoteThread;
+use lbmf::stats::bump_owned;
 use lbmf::strategy::FenceStrategy;
 use lbmf::sync::{CachePadded, Mutex};
 use std::sync::atomic::{AtomicI64, AtomicPtr, Ordering};
@@ -114,7 +116,7 @@ impl<S: FenceStrategy> TheDeque<S> {
         store_ptr(self.slot(t), job, Ordering::Relaxed);
         // Publish the slot before the new tail (thieves read tail Acquire).
         store_i64(&self.tail, t + 1, Ordering::Release);
-        WorkerStats::bump(&stats.pushes);
+        bump_owned(&stats.pushes);
     }
 
     /// Owner: pop the most recently pushed job. This is the hot path whose
@@ -125,25 +127,33 @@ impl<S: FenceStrategy> TheDeque<S> {
         self.strategy.primary_fence(); // the l-mfence position
         let h = load_i64(&self.head, Ordering::Acquire);
         if h > t {
-            // Possible conflict with a thief: restore T and retry under
-            // the lock, where H is stable.
-            store_i64(&self.tail, t + 1, Ordering::Relaxed);
-            WorkerStats::bump(&stats.pop_conflicts);
-            let _guard = self.lock.lock();
-            let t = load_i64(&self.tail, Ordering::Relaxed) - 1;
-            store_i64(&self.tail, t, Ordering::Relaxed);
-            // Under the lock no thief can move H; a full fence makes the
-            // decrement visible before we conclude (cold path: cheap).
-            lbmf::fence::full_fence();
-            let h = load_i64(&self.head, Ordering::Acquire);
-            if h > t {
-                store_i64(&self.tail, t + 1, Ordering::Relaxed);
-                return None;
-            }
-            WorkerStats::bump(&stats.pops);
-            return Some(load_ptr(self.slot(t), Ordering::Relaxed));
+            return self.pop_conflict(t, stats);
         }
-        WorkerStats::bump(&stats.pops);
+        bump_owned(&stats.pops);
+        Some(load_ptr(self.slot(t), Ordering::Relaxed))
+    }
+
+    /// The pop's conflict path, out of line so the fast path carries none
+    /// of its lock and fence: a thief may have raced the pop, so restore
+    /// `T` (decremented to `t`) and retry under the lock, where `H` is
+    /// stable.
+    #[cold]
+    #[inline(never)]
+    fn pop_conflict(&self, t: i64, stats: &WorkerStats) -> Option<*mut JobCore<S>> {
+        store_i64(&self.tail, t + 1, Ordering::Relaxed);
+        bump_owned(&stats.pop_conflicts);
+        let _guard = self.lock.lock();
+        let t = load_i64(&self.tail, Ordering::Relaxed) - 1;
+        store_i64(&self.tail, t, Ordering::Relaxed);
+        // Under the lock no thief can move H; a full fence makes the
+        // decrement visible before we conclude (cold path: cheap).
+        lbmf::fence::full_fence();
+        let h = load_i64(&self.head, Ordering::Acquire);
+        if h > t {
+            store_i64(&self.tail, t + 1, Ordering::Relaxed);
+            return None;
+        }
+        bump_owned(&stats.pops);
         Some(load_ptr(self.slot(t), Ordering::Relaxed))
     }
 
@@ -151,16 +161,28 @@ impl<S: FenceStrategy> TheDeque<S> {
     /// secondary-side cost: a fence plus a remote serialization of the
     /// victim (a no-op under the symmetric strategy).
     ///
+    /// A deque that looks empty is not attempted: it returns
+    /// [`Steal::Empty`] before the lock, without counting an attempt or
+    /// signaling the victim. The peek reads `H` and `T` unserialized, so
+    /// it may be stale either way, but it takes nothing: a stale "empty"
+    /// only delays a steal until the victim's stores drain, and a stale
+    /// "non-empty" falls through to the full protocol below. Without it,
+    /// idle workers serialize each other on every poll, and a victim that
+    /// is descheduled holds its thief spinning for the acknowledgment.
+    ///
     /// The whole attempt is one causal chain: the `steal-attempt`, the
     /// victim-serialization phases it triggers, and (on success) the
     /// `steal-success` all share one correlation id, so a trace shows
     /// *which* steal paid *which* serialization round trip.
     pub fn steal(&self, stats: &WorkerStats) -> Steal<S> {
+        if self.is_empty() {
+            return Steal::Empty;
+        }
         let guard = match self.lock.try_lock() {
             Some(g) => g,
             None => return Steal::Retry,
         };
-        WorkerStats::bump(&stats.steal_attempts);
+        bump_owned(&stats.steal_attempts);
         let corr = trace_mint_corr!();
         trace_event_corr!(StealAttempt, self as *const _ as usize, corr);
         let h = load_i64(&self.head, Ordering::Relaxed);
@@ -179,7 +201,7 @@ impl<S: FenceStrategy> TheDeque<S> {
         }
         let job = load_ptr(self.slot(h), Ordering::Relaxed);
         drop(guard);
-        WorkerStats::bump(&stats.steals);
+        bump_owned(&stats.steals);
         trace_event_corr!(StealSuccess, self as *const _ as usize, corr);
         Steal::Success(job)
     }
@@ -225,6 +247,32 @@ mod tests {
             Steal::Empty => {}
             _ => panic!("expected empty"),
         }
+    }
+
+    #[test]
+    fn steal_leaves_an_empty_deque_alone() {
+        // The owner is a live registered thread, so an attempt would
+        // really signal it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let owner = std::thread::spawn(move || {
+            let reg = lbmf::registry::register_current_thread();
+            tx.send(reg.remote()).unwrap();
+            done_rx.recv().unwrap();
+        });
+        let strategy = Arc::new(SignalFence::new());
+        let d: TheDeque<SignalFence> = TheDeque::new(strategy.clone(), 4);
+        d.set_owner(rx.recv().unwrap());
+        let stats = WorkerStats::default();
+        assert!(matches!(d.steal(&stats), Steal::Empty));
+        assert_eq!(stats.steal_attempts.load(Ordering::Relaxed), 0);
+        assert_eq!(strategy.stats().snapshot().serializations_requested, 0);
+        d.push(7 as *mut JobCore<SignalFence>, &stats);
+        assert!(matches!(d.steal(&stats), Steal::Success(p) if p as usize == 7));
+        assert_eq!(stats.steal_attempts.load(Ordering::Relaxed), 1);
+        assert_eq!(strategy.stats().snapshot().serializations_requested, 1);
+        done_tx.send(()).unwrap();
+        owner.join().unwrap();
     }
 
     #[test]

@@ -14,8 +14,9 @@ use crate::deque::{Steal, TheDeque};
 use crate::job::{execute, JobCore, Latch, StackJob};
 use crate::stats::{RuntimeStats, WorkerStats};
 use lbmf::registry::register_current_thread;
+use lbmf::stats::bump_owned;
 use lbmf::strategy::FenceStrategy;
-use lbmf::sync::{Condvar, Mutex};
+use lbmf::sync::{CachePadded, Condvar, Mutex};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -32,7 +33,13 @@ unsafe impl<S: FenceStrategy> Send for SendJobPtr<S> {}
 struct Inner<S: FenceStrategy> {
     strategy: Arc<S>,
     deques: Vec<TheDeque<S>>,
-    worker_stats: Vec<WorkerStats>,
+    /// One padded block per worker: each worker bumps only its own, so
+    /// no two workers' counters share a cache line.
+    worker_stats: Vec<CachePadded<WorkerStats>>,
+    /// Worker totals at the last [`Scheduler::reset_stats`], which
+    /// [`Scheduler::stats`] subtracts (its `fences` stay zero: the
+    /// strategy keeps its own baselines).
+    baseline: Mutex<RuntimeStats>,
     injector: Mutex<VecDeque<SendJobPtr<S>>>,
     idle_mutex: Mutex<()>,
     idle_cv: Condvar,
@@ -58,7 +65,8 @@ impl<S: FenceStrategy> Scheduler<S> {
             deques: (0..nworkers)
                 .map(|_| TheDeque::new(strategy.clone(), DEQUE_LOG2_CAPACITY))
                 .collect(),
-            worker_stats: (0..nworkers).map(|_| WorkerStats::default()).collect(),
+            worker_stats: (0..nworkers).map(|_| CachePadded::default()).collect(),
+            baseline: Mutex::new(RuntimeStats::default()),
             injector: Mutex::new(VecDeque::new()),
             idle_mutex: Mutex::new(()),
             idle_cv: Condvar::new(),
@@ -116,25 +124,31 @@ impl<S: FenceStrategy> Scheduler<S> {
         unsafe { job.take_result() }
     }
 
-    /// Aggregate statistics so far.
+    /// Aggregate statistics since the last [`reset_stats`](Self::reset_stats).
     pub fn stats(&self) -> RuntimeStats {
-        RuntimeStats::aggregate(
-            self.inner.worker_stats.iter(),
-            self.inner.strategy.stats().snapshot(),
-        )
+        self.worker_totals().diff(&self.inner.baseline.lock())
     }
 
-    /// Reset the per-worker and strategy counters (between measurements).
+    /// Count from zero again (between measurements). The worker counters
+    /// are never zeroed from here — only their owners store into them,
+    /// and idle workers keep bumping `pop_conflicts`/`steal_attempts`
+    /// meanwhile — so this saves the current totals as a baseline that
+    /// [`stats`](Self::stats) subtracts, and resets the strategy's
+    /// counters the same way.
     pub fn reset_stats(&self) {
-        for w in &self.inner.worker_stats {
-            w.pushes.store(0, Ordering::Relaxed);
-            w.pops.store(0, Ordering::Relaxed);
-            w.pop_conflicts.store(0, Ordering::Relaxed);
-            w.steal_attempts.store(0, Ordering::Relaxed);
-            w.steals.store(0, Ordering::Relaxed);
-            w.executed.store(0, Ordering::Relaxed);
-        }
+        let mut baseline = self.inner.baseline.lock();
+        *baseline = RuntimeStats {
+            fences: Default::default(),
+            ..self.worker_totals()
+        };
         self.inner.strategy.stats().reset();
+    }
+
+    fn worker_totals(&self) -> RuntimeStats {
+        RuntimeStats::aggregate(
+            self.inner.worker_stats.iter().map(|w| &**w),
+            self.inner.strategy.stats().snapshot(),
+        )
     }
 }
 
@@ -159,7 +173,7 @@ fn worker_main<S: FenceStrategy>(inner: Arc<Inner<S>>, index: usize) {
     while !inner.shutdown.load(Ordering::Acquire) {
         match ctx.find_work() {
             Some(job) => unsafe {
-                WorkerStats::bump(&ctx.stats().executed);
+                bump_owned(&ctx.stats().executed);
                 execute(job, &ctx);
             },
             None => {
@@ -261,7 +275,7 @@ impl<'s, S: FenceStrategy> WorkerCtx<'s, S> {
         while !cond() {
             match self.find_work() {
                 Some(job) => unsafe {
-                    WorkerStats::bump(&self.stats().executed);
+                    bump_owned(&self.stats().executed);
                     execute(job, self);
                 },
                 None => std::thread::yield_now(),

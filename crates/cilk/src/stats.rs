@@ -10,8 +10,10 @@ use lbmf::stats::FenceStatsSnapshot;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counters owned by one worker (all updates Relaxed — they are reporting,
-/// not synchronization).
+/// Counters owned by one worker. Only that worker bumps them (its own
+/// deque's pushes and pops, its own steal attempts), so each bump is
+/// [`lbmf::stats::bump_owned`]: a plain relaxed load and store, no locked
+/// RMW on the spawn and pop fast paths.
 #[derive(Debug, Default)]
 pub struct WorkerStats {
     /// Jobs pushed onto the worker's own deque (spawns).
@@ -20,20 +22,13 @@ pub struct WorkerStats {
     pub pops: AtomicU64,
     /// Pops that hit the THE-protocol conflict path (took the lock).
     pub pop_conflicts: AtomicU64,
-    /// Steal attempts against other workers' deques.
+    /// Steal attempts against other workers' deques (a deque that looked
+    /// empty is skipped, not attempted).
     pub steal_attempts: AtomicU64,
     /// Steals that returned a job.
     pub steals: AtomicU64,
     /// Jobs executed (own or stolen).
     pub executed: AtomicU64,
-}
-
-impl WorkerStats {
-    /// Increment one counter (relaxed; reporting only).
-    #[inline]
-    pub fn bump(c: &AtomicU64) {
-        c.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// Aggregated snapshot across all workers plus the fence strategy's
@@ -77,6 +72,20 @@ impl RuntimeStats {
         out
     }
 
+    /// Per-field difference `self - earlier` (saturating), fences
+    /// included: the activity between two snapshots.
+    pub fn diff(&self, earlier: &RuntimeStats) -> RuntimeStats {
+        RuntimeStats {
+            pushes: self.pushes.saturating_sub(earlier.pushes),
+            pops: self.pops.saturating_sub(earlier.pops),
+            pop_conflicts: self.pop_conflicts.saturating_sub(earlier.pop_conflicts),
+            steal_attempts: self.steal_attempts.saturating_sub(earlier.steal_attempts),
+            steals: self.steals.saturating_sub(earlier.steals),
+            executed: self.executed.saturating_sub(earlier.executed),
+            fences: self.fences.diff(&earlier.fences),
+        }
+    }
+
     /// Fraction of serialization requests that turned into successful
     /// steals — the paper's "signals into successful steals" conversion.
     pub fn steal_conversion(&self) -> f64 {
@@ -114,14 +123,15 @@ impl fmt::Display for RuntimeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lbmf::stats::bump_owned;
 
     #[test]
     fn aggregate_sums_workers() {
         let a = WorkerStats::default();
         let b = WorkerStats::default();
-        WorkerStats::bump(&a.pushes);
-        WorkerStats::bump(&a.steals);
-        WorkerStats::bump(&b.pushes);
+        bump_owned(&a.pushes);
+        bump_owned(&a.steals);
+        bump_owned(&b.pushes);
         let agg = RuntimeStats::aggregate([&a, &b].into_iter(), FenceStatsSnapshot::default());
         assert_eq!(agg.pushes, 2);
         assert_eq!(agg.steals, 1);

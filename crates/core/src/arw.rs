@@ -23,6 +23,7 @@
 use crate::fence::{full_fence, spin_for, spin_until};
 use crate::hooks::{load_u64, store_u64};
 use crate::registry::{register_current_thread, Registration};
+use crate::stats::Counter;
 use crate::strategy::FenceStrategy;
 use crate::sync::{CachePadded, Mutex, MutexGuard, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,12 +52,13 @@ pub struct AsymRwLock<S: FenceStrategy> {
     readers: RwLock<Vec<Arc<ReaderSlot>>>,
     /// ARW+ waiting-heuristic spin budget; 0 disables the heuristic.
     spin_window: u32,
-    /// Completed read acquisitions.
-    pub reads: AtomicU64,
+    /// Completed read acquisitions. A [`Counter`]: every reader bumps it
+    /// on the fast path, where a shared `fetch_add` would be a fence.
+    pub reads: Counter,
     /// Completed write acquisitions.
     pub writes: AtomicU64,
     /// Reads that found writer intent and had to back off.
-    pub read_conflicts: AtomicU64,
+    pub read_conflicts: Counter,
     /// Reader signals the writer skipped thanks to acknowledgments.
     pub signals_skipped: AtomicU64,
 }
@@ -78,9 +80,9 @@ impl<S: FenceStrategy> AsymRwLock<S> {
             writer_mutex: Mutex::new(()),
             readers: RwLock::new(Vec::new()),
             spin_window,
-            reads: AtomicU64::new(0),
+            reads: Counter::new(),
             writes: AtomicU64::new(0),
-            read_conflicts: AtomicU64::new(0),
+            read_conflicts: Counter::new(),
             signals_skipped: AtomicU64::new(0),
         }
     }
@@ -209,26 +211,37 @@ impl<S: FenceStrategy> ReaderHandle<S> {
     /// Run `f` inside a read section (the primary fast path).
     pub fn read<T>(&self, f: impl FnOnce() -> T) -> T {
         let l = &*self.lock;
-        loop {
-            store_u64(&self.slot.reading, 1, Ordering::Release);
-            l.strategy.primary_fence(); // the l-mfence position
-            let intent = load_u64(&l.write_intent, Ordering::Acquire);
-            if intent == 0 {
-                break;
-            }
-            // Writer active: back off, fence, acknowledge, and wait. The
-            // voluntary fence is what makes the acknowledgment sufficient
-            // for the writer to skip the signal (ARW+).
-            l.read_conflicts.fetch_add(1, Ordering::Relaxed);
+        store_u64(&self.slot.reading, 1, Ordering::Release);
+        l.strategy.primary_fence(); // the l-mfence position
+        let intent = load_u64(&l.write_intent, Ordering::Acquire);
+        if intent != 0 {
+            self.wait_out_writers(intent);
+        }
+        let out = f();
+        store_u64(&self.slot.reading, 0, Ordering::Release);
+        l.reads.bump();
+        out
+    }
+
+    /// The read entry's conflict path, out of line so the fast path
+    /// carries none of its fence and spinning: back off, fence,
+    /// acknowledge `intent`, wait, and retry the entry until no writer
+    /// is active. The voluntary fence is what makes the acknowledgment
+    /// sufficient for the writer to skip the signal (ARW+).
+    #[cold]
+    #[inline(never)]
+    fn wait_out_writers(&self, mut intent: u64) {
+        let l = &*self.lock;
+        while intent != 0 {
+            l.read_conflicts.bump();
             store_u64(&self.slot.reading, 0, Ordering::Release);
             full_fence();
             store_u64(&self.slot.acked, intent, Ordering::Release);
             spin_until(|| load_u64(&l.write_intent, Ordering::Acquire) == 0);
+            store_u64(&self.slot.reading, 1, Ordering::Release);
+            l.strategy.primary_fence(); // the l-mfence position
+            intent = load_u64(&l.write_intent, Ordering::Acquire);
         }
-        let out = f();
-        store_u64(&self.slot.reading, 0, Ordering::Release);
-        l.reads.fetch_add(1, Ordering::Relaxed);
-        out
     }
 
     /// The lock this handle reads on.

@@ -12,6 +12,7 @@
 use crate::fence::spin_until;
 use crate::hooks::{load_usize, store_usize};
 use crate::registry::{register_current_thread, Registration, RemoteThread};
+use crate::stats::bump_owned;
 use crate::strategy::FenceStrategy;
 use crate::sync::{CachePadded, Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -26,7 +27,8 @@ pub struct BiasedLock<S: FenceStrategy> {
     revoke_flag: CachePadded<AtomicUsize>,
     owner_thread: OnceLock<RemoteThread>,
     revoker_mutex: Mutex<()>,
-    /// Owner fast-path acquisitions.
+    /// Owner fast-path acquisitions (bumped only by the owner, with
+    /// [`bump_owned`]).
     pub owner_acquires: AtomicU64,
     /// Owner acquisitions that had to wait for a revoker first.
     pub owner_waits: AtomicU64,
@@ -100,12 +102,12 @@ impl<S: FenceStrategy> Owner<S> {
             store_usize(&l.owner_flag, 1, Ordering::Release);
             l.strategy.primary_fence();
             if load_usize(&l.revoke_flag, Ordering::Acquire) == 0 {
-                l.owner_acquires.fetch_add(1, Ordering::Relaxed);
+                bump_owned(&l.owner_acquires);
                 return OwnerGuard { lock: l };
             }
             // A revoker is active: retreat (revokers have priority).
             store_usize(&l.owner_flag, 0, Ordering::Release);
-            l.owner_waits.fetch_add(1, Ordering::Relaxed);
+            bump_owned(&l.owner_waits);
             spin_until(|| load_usize(&l.revoke_flag, Ordering::Acquire) == 0);
         }
     }

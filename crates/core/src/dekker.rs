@@ -18,6 +18,7 @@
 use crate::fence::spin_until;
 use crate::hooks::{load_usize, store_usize};
 use crate::registry::{register_current_thread, Registration, RemoteThread};
+use crate::stats::bump_owned;
 use crate::strategy::FenceStrategy;
 use crate::sync::{CachePadded, Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -40,11 +41,13 @@ pub struct AsymmetricDekker<S: FenceStrategy> {
     primary_thread: OnceLock<RemoteThread>,
     /// Secondaries compete for the right to engage the primary.
     secondary_mutex: Mutex<()>,
-    /// Primary critical-section entries.
+    /// Primary critical-section entries. Bumped only by the one
+    /// registered primary ([`bump_owned`]: no locked RMW on its path).
     pub primary_entries: AtomicU64,
     /// Secondary critical-section entries.
     pub secondary_entries: AtomicU64,
-    /// Times the primary observed a conflict and had to wait or retreat.
+    /// Times the primary observed a conflict and had to wait or retreat
+    /// (single writer, like `primary_entries`).
     pub primary_conflicts: AtomicU64,
 }
 
@@ -148,15 +151,25 @@ impl<S: FenceStrategy> Primary<S> {
     /// The fast-path acquire (lines K1–K2 of Figure 3(a), plus tie-break).
     pub fn lock(&self) -> PrimaryGuard<'_, S> {
         let d = &*self.dekker;
+        store_usize(&d.primary_flag, 1, Ordering::Release); // K1: guarded store
+        d.strategy.primary_fence(); // the l-mfence position
+        if load_usize(&d.secondary_flag, Ordering::Acquire) == 0 {
+            // K2: no secondary competing — the common case.
+            bump_owned(&d.primary_entries);
+            return PrimaryGuard { dekker: d };
+        }
+        self.lock_contended()
+    }
+
+    /// The acquire's conflict path, out of line so the fast path carries
+    /// none of its spinning: yield or wait by the turn tie-break, then
+    /// retry K1–K2.
+    #[cold]
+    #[inline(never)]
+    fn lock_contended(&self) -> PrimaryGuard<'_, S> {
+        let d = &*self.dekker;
         loop {
-            store_usize(&d.primary_flag, 1, Ordering::Release); // K1: guarded store
-            d.strategy.primary_fence(); // the l-mfence position
-            if load_usize(&d.secondary_flag, Ordering::Acquire) == 0 {
-                // K2: no secondary competing — the common case.
-                d.primary_entries.fetch_add(1, Ordering::Relaxed);
-                return PrimaryGuard { dekker: d };
-            }
-            d.primary_conflicts.fetch_add(1, Ordering::Relaxed);
+            bump_owned(&d.primary_conflicts);
             if load_usize(&d.turn, Ordering::Acquire) == TURN_SECONDARY {
                 store_usize(&d.primary_flag, 0, Ordering::Release);
                 spin_until(|| {
@@ -165,7 +178,13 @@ impl<S: FenceStrategy> Primary<S> {
                 });
             } else {
                 spin_until(|| load_usize(&d.secondary_flag, Ordering::Acquire) == 0);
-                d.primary_entries.fetch_add(1, Ordering::Relaxed);
+                bump_owned(&d.primary_entries);
+                return PrimaryGuard { dekker: d };
+            }
+            store_usize(&d.primary_flag, 1, Ordering::Release);
+            d.strategy.primary_fence();
+            if load_usize(&d.secondary_flag, Ordering::Acquire) == 0 {
+                bump_owned(&d.primary_entries);
                 return PrimaryGuard { dekker: d };
             }
         }
@@ -177,10 +196,10 @@ impl<S: FenceStrategy> Primary<S> {
         store_usize(&d.primary_flag, 1, Ordering::Release);
         d.strategy.primary_fence();
         if load_usize(&d.secondary_flag, Ordering::Acquire) == 0 {
-            d.primary_entries.fetch_add(1, Ordering::Relaxed);
+            bump_owned(&d.primary_entries);
             Some(PrimaryGuard { dekker: d })
         } else {
-            d.primary_conflicts.fetch_add(1, Ordering::Relaxed);
+            bump_owned(&d.primary_conflicts);
             store_usize(&d.primary_flag, 0, Ordering::Release);
             None
         }

@@ -51,13 +51,24 @@ pub struct ThreadSlot {
     /// own handler (no `SA_NODEFER`), so handler runs on one thread never
     /// overlap. `OnceLock::get` from the handler is one atomic load —
     /// async-signal-safe, as are the ring's preallocated relaxed stores.
+    ///
+    /// Created by the first requester, before its signal exists (see
+    /// [`RemoteThread::serialize_with_corr`]): a thread that is never
+    /// serialized never pays for a ring, and the handler skips a slot
+    /// whose ring is missing.
     #[cfg(feature = "trace")]
     handler_ring: std::sync::OnceLock<Arc<lbmf_trace::ThreadRing>>,
+    /// The registered thread's name, for the handler ring's row
+    /// (`<name>/serialize-handler`); the ring is made on another thread.
+    #[cfg(feature = "trace")]
+    name: String,
 }
 
 impl ThreadSlot {
     fn new(pthread: sys::pthread_t) -> Self {
         ThreadSlot {
+            #[cfg(feature = "trace")]
+            name: std::thread::current().name().unwrap_or("thread").to_owned(),
             #[allow(clippy::unnecessary_cast)] // pthread_t width varies by platform
             pthread: AtomicU64::new(pthread as u64),
             ack: AtomicU64::new(0),
@@ -146,7 +157,14 @@ impl RemoteThread {
         // Publish the chain id for the handler before the signal exists;
         // see `ThreadSlot::pending_corr` for the concurrent-sender story.
         #[cfg(feature = "trace")]
-        self.slot.pending_corr.store(corr, Ordering::Relaxed);
+        {
+            self.slot.pending_corr.store(corr, Ordering::Relaxed);
+            // The handler's ring, made on first use (this also warms the
+            // trace clock the handler reads).
+            self.slot.handler_ring.get_or_init(|| {
+                lbmf_trace::register_aux_ring(format!("{}/serialize-handler", self.slot.name))
+            });
+        }
         let sig = serialization_signal();
         let value = sys::sigval {
             sival_ptr: Arc::as_ptr(&self.slot) as *mut c_void,
@@ -209,7 +227,7 @@ fn serialization_signal() -> c_int {
 /// handler ring (see `ThreadSlot::handler_ring` for why not the TLS ring
 /// and why single-producer holds). Everything here stays
 /// async-signal-safe: atomic loads/stores into preallocated slots plus
-/// vDSO clock reads (warmed at registration).
+/// vDSO clock reads (warmed by the requester that made the ring).
 extern "C" fn serialize_handler(_sig: c_int, info: *mut sys::siginfo_t, _ctx: *mut c_void) {
     // SAFETY: senders always place a valid `*const ThreadSlot` in si_value
     // and keep the Arc alive until the ack arrives.
@@ -279,19 +297,6 @@ fn registry() -> &'static Mutex<Vec<Arc<ThreadSlot>>> {
 pub fn register_current_thread() -> Registration {
     install_handler_once();
     let slot = Arc::new(ThreadSlot::new(unsafe { sys::pthread_self() }));
-    // Give the signal handler its ring (and warm the trace clock) before
-    // any signal can target this slot. Registration is the only writer,
-    // so `set` cannot fail.
-    #[cfg(feature = "trace")]
-    {
-        let name = std::thread::current()
-            .name()
-            .map(str::to_owned)
-            .unwrap_or_else(|| "thread".into());
-        let _ = slot
-            .handler_ring
-            .set(lbmf_trace::register_aux_ring(format!("{name}/serialize-handler")));
-    }
     registry().lock().unwrap().push(slot.clone());
     // Let an active check harness map this slot to its virtual thread, so
     // later `serialize_hook` calls with the same key drain that thread's
@@ -379,6 +384,35 @@ mod tests {
         target.join().unwrap();
         assert_eq!(total.load(Ordering::Relaxed), 100);
         assert!(remote.slot().acks() >= 1);
+    }
+
+    #[cfg(feature = "trace")]
+    #[test]
+    fn handler_ring_is_made_by_the_first_serialization() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let h = std::thread::Builder::new()
+            .name("lazy-ring".into())
+            .spawn(move || {
+                let reg = register_current_thread();
+                tx.send(reg.remote()).unwrap();
+                done_rx.recv().unwrap();
+            })
+            .unwrap();
+        let remote = rx.recv().unwrap();
+        assert!(
+            remote.slot().handler_ring.get().is_none(),
+            "registration allocates no ring"
+        );
+        assert!(remote.serialize());
+        let ring = remote
+            .slot()
+            .handler_ring
+            .get()
+            .expect("first request makes the ring");
+        assert_eq!(ring.name(), "lazy-ring/serialize-handler");
+        done_tx.send(()).unwrap();
+        h.join().unwrap();
     }
 
     #[test]

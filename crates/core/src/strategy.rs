@@ -40,7 +40,7 @@ pub trait FenceStrategy: Send + Sync + 'static {
     /// asymmetry only ever removes the *primary's* cost).
     fn secondary_fence(&self) {
         full_fence();
-        FenceStats::bump(&self.stats().secondary_full_fences);
+        self.stats().secondary_full_fences.bump();
         trace_event!(SecondaryFence);
     }
 
@@ -126,12 +126,12 @@ impl Symmetric {
 impl FenceStrategy for Symmetric {
     fn primary_fence(&self) {
         full_fence();
-        FenceStats::bump(&self.stats.primary_full_fences);
+        self.stats.primary_full_fences.bump();
         trace_event!(PrimaryFullFence);
     }
 
     fn serialize_remote_corr(&self, target: &RemoteThread, _corr: u64) {
-        FenceStats::bump(&self.stats.serializations_requested);
+        self.stats.serializations_requested.bump();
         trace_event!(SerializeRequest, target.key());
         // Nothing to do: the primary executed a real fence itself (and
         // with no round trip there is no chain to correlate).
@@ -173,15 +173,15 @@ impl SignalFence {
 impl FenceStrategy for SignalFence {
     fn primary_fence(&self) {
         compiler_fence_only();
-        FenceStats::bump(&self.stats.primary_compiler_fences);
+        self.stats.primary_compiler_fences.bump();
         trace_event!(PrimaryFence);
     }
 
     fn serialize_remote_corr(&self, target: &RemoteThread, corr: u64) {
-        FenceStats::bump(&self.stats.serializations_requested);
+        self.stats.serializations_requested.bump();
         trace_event_corr!(SerializeRequest, target.key(), corr);
         if target.serialize_with_corr(corr) {
-            FenceStats::bump(&self.stats.serializations_delivered);
+            self.stats.serializations_delivered.bump();
         }
     }
 
@@ -240,17 +240,17 @@ impl MembarrierFence {
 impl FenceStrategy for MembarrierFence {
     fn primary_fence(&self) {
         compiler_fence_only();
-        FenceStats::bump(&self.stats.primary_compiler_fences);
+        self.stats.primary_compiler_fences.bump();
         trace_event!(PrimaryFence);
     }
 
     fn serialize_remote_corr(&self, target: &RemoteThread, corr: u64) {
-        FenceStats::bump(&self.stats.serializations_requested);
+        self.stats.serializations_requested.bump();
         trace_event_corr!(SerializeRequest, target.key(), corr);
         let start = trace_span_start!();
         let rc = membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED);
         debug_assert_eq!(rc, 0, "membarrier failed after successful registration");
-        FenceStats::bump(&self.stats.serializations_delivered);
+        self.stats.serializations_delivered.bump();
         // The kernel IPI has no observable interior phases; the chain is
         // the request bookended by the completed round trip.
         trace_event_corr!(SerializeAckObserved, target.key(), corr);
@@ -293,12 +293,12 @@ impl NoFence {
 impl FenceStrategy for NoFence {
     fn primary_fence(&self) {
         compiler_fence_only();
-        FenceStats::bump(&self.stats.primary_compiler_fences);
+        self.stats.primary_compiler_fences.bump();
         trace_event!(PrimaryFence);
     }
 
     fn serialize_remote_corr(&self, target: &RemoteThread, _corr: u64) {
-        FenceStats::bump(&self.stats.serializations_requested);
+        self.stats.serializations_requested.bump();
         trace_event!(SerializeRequest, target.key());
     }
 

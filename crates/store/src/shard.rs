@@ -72,6 +72,7 @@ use crate::stats::{StoreStats, StoreStatsSnapshot};
 use crate::table::Table;
 use lbmf::hooks;
 use lbmf::registry::RemoteThread;
+use lbmf::stats::bump_owned;
 use lbmf::strategy::FenceStrategy;
 use lbmf::sync::{CachePadded, Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
@@ -235,6 +236,25 @@ impl<S: FenceStrategy> Shard<S> {
         }
     }
 
+    /// Insert or update every `(key, value)` of `entries` with one table
+    /// copy, however many entries there are. `&mut self` proves no reader
+    /// or writer can reach the shard, so the table is replaced in place:
+    /// no epoch bump, no serialization, nothing retired. Counts as
+    /// `entries.len()` puts.
+    pub(crate) fn fill(&mut self, entries: &[(u64, u64)]) {
+        let current = self.current.get_mut();
+        // SAFETY: exclusive access; `current` is this shard's live table,
+        // owned by it and freed exactly once (here, after replacement).
+        let filled = unsafe { (**current).clone_with_all(entries) };
+        let hwm = filled.probe_hwm() as u64;
+        let old = std::mem::replace(current, Box::into_raw(Box::new(filled)));
+        // SAFETY: see above; nothing else holds `old`.
+        unsafe { drop(Box::from_raw(old)) };
+        *self.stats.puts.get_mut() += entries.len() as u64;
+        let mirror = self.health.probe_hwm.get_mut();
+        *mirror = (*mirror).max(hwm);
+    }
+
     /// The shard's write-side heat sketches (crate-internal: armed by
     /// the store's plane, read by its report).
     pub(crate) fn heat(&self) -> &ShardHeat {
@@ -312,11 +332,11 @@ impl<S: FenceStrategy> Shard<S> {
         // writer proves no visible pin protects it, and our pin does.
         let found = unsafe { (*table).get(key) };
         hooks::store_u64(&slot.pin, 0, Ordering::Release);
-        // Private single-writer counters: plain load-add-store, never an
-        // RMW (see `ReaderSlot::gets`).
-        slot.gets.store(slot.gets.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        // Private single-writer counters: never an RMW (see
+        // `ReaderSlot::gets`).
+        bump_owned(&slot.gets);
         if found.is_some() {
-            slot.hits.store(slot.hits.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+            bump_owned(&slot.hits);
         }
         found
     }

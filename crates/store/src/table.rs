@@ -182,17 +182,7 @@ impl Table {
             Some(_) => self.len + usize::from(self.peek(key).is_none()),
             None => self.len.saturating_sub(usize::from(self.peek(key).is_some())),
         };
-        let mut cap = self.capacity().max(4);
-        while target_len * 2 > cap {
-            cap *= 2;
-        }
-        let mut next = Table {
-            mask: cap - 1,
-            keys: vec![EMPTY_KEY; cap].into_boxed_slice(),
-            vals: (0..cap).map(|_| AtomicU64::new(0)).collect(),
-            len: 0,
-            probe_hwm: 0,
-        };
+        let mut next = self.empty_for(target_len);
         for (k, v) in self.iter() {
             if k != key {
                 next.insert(k, v);
@@ -202,6 +192,33 @@ impl Table {
             next.insert(key, v);
         }
         next
+    }
+
+    /// Bulk derivation: this table's entries with every `(key, value)` of
+    /// `entries` inserted or updated, in order — one copy for the whole
+    /// batch instead of one per entry.
+    pub fn clone_with_all(&self, entries: &[(u64, u64)]) -> Table {
+        let mut next = self.empty_for(self.len + entries.len());
+        for (k, v) in self.iter().chain(entries.iter().copied()) {
+            next.insert(k, v);
+        }
+        next
+    }
+
+    /// An empty table of at least this one's capacity that holds `len`
+    /// entries within the ½ load factor.
+    fn empty_for(&self, len: usize) -> Table {
+        let mut cap = self.capacity().max(4);
+        while len * 2 > cap {
+            cap *= 2;
+        }
+        Table {
+            mask: cap - 1,
+            keys: vec![EMPTY_KEY; cap].into_boxed_slice(),
+            vals: (0..cap).map(|_| AtomicU64::new(0)).collect(),
+            len: 0,
+            probe_hwm: 0,
+        }
     }
 
     /// Model allocator reuse of a reclaimed table: overwrite every value

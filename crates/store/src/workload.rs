@@ -140,16 +140,9 @@ pub fn kv_schedule(cfg: &WorkloadCfg, cores: usize) -> Vec<Vec<KvOp>> {
 /// measured phase runs at a 100% hit rate over a stable working set.
 pub fn build_store<S: FenceStrategy>(strategy: Arc<S>, cfg: &WorkloadCfg) -> Arc<Store<S>> {
     let per_shard = (cfg.keys as usize / cfg.shards).max(16);
-    let store = Arc::new(Store::new(
-        strategy,
-        cfg.shards,
-        per_shard,
-        ReclaimMode::Free,
-    ));
-    for k in 0..cfg.keys {
-        store.put(k, k + 1);
-    }
-    store
+    let mut store = Store::new(strategy, cfg.shards, per_shard, ReclaimMode::Free);
+    store.prefill((0..cfg.keys).map(|k| (k, k + 1)));
+    Arc::new(store)
 }
 
 /// What a measured [`run`] produced.

@@ -264,15 +264,18 @@ pub fn register_aux_ring(name: impl Into<String>) -> Arc<ThreadRing> {
 /// [`now_nanos`]. The first event a thread records allocates and
 /// registers its ring (a one-time lock + allocation); every subsequent
 /// record is the fence-free fast path described in [`ThreadRing::append`].
+/// While recording is switched off it returns before reading the clock.
 #[inline]
 pub fn record(kind: EventKind, addr: usize, dur: u64) {
-    record_at(now_nanos(), kind, addr, dur);
+    record_corr(kind, addr, dur, 0);
 }
 
 /// [`record`] carrying a causal correlation id (see [`next_corr_id`]).
 #[inline]
 pub fn record_corr(kind: EventKind, addr: usize, dur: u64, corr: u64) {
-    record_at_corr(now_nanos(), kind, addr, dur, corr);
+    if is_enabled() {
+        record_at_corr(now_nanos(), kind, addr, dur, corr);
+    }
 }
 
 /// Record one event with an explicit timestamp (used by [`record_span`]

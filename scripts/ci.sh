@@ -15,6 +15,14 @@ cargo build --release
 echo "== tier-1: workspace tests =="
 cargo test --workspace -q
 
+echo "== purity gate: the fast paths' machine code has no fence or locked RMW =="
+# Builds the lbmf-purity probes alone with the shipped features (trace on,
+# check-hooks off), disassembles them, and fails on any lock prefix, xchg
+# with memory, mfence or cpuid reachable from a primary fast path outside
+# an allowlist of cold first-use, conflict and clock paths. The symmetric
+# strategy's probe is the negative control: its full fence must be caught.
+python3 scripts/purity_gate.py
+
 echo "== lbmf-check smoke pass (DFS, preemption bound 2, <5s) =="
 cargo run -p lbmf-check --example smoke --release
 
