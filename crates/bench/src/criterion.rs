@@ -17,14 +17,7 @@
 //! `LBMF_BENCH_JSON=<path>` environment variable is set — appended to
 //! `<path>` as one JSON object per line (JSONL). `lbmf-obs record`
 //! consumes both forms.
-//!
-//! Hardware counters: with [`Criterion::with_pmu`] (or
-//! `LBMF_BENCH_PMU=1`) each benchmark's timed batches — calibration
-//! excluded — run inside one `lbmf_pmu` counter scope, and the result
-//! carries a per-op [`PmuReading`] (cycles, IPC, misses; or the
-//! surfaced-and-reported rdtscp fallback where perf is unavailable).
 
-use lbmf_pmu::{PmuReading, PmuSession};
 use std::fmt::Display;
 use std::io::Write as _;
 use std::time::{Duration, Instant};
@@ -60,49 +53,18 @@ pub struct BenchResult {
     /// Coefficient of variation of the per-batch means (stddev / mean,
     /// dimensionless). The noise scale for regression thresholds.
     pub cv: f64,
-    /// Hardware counter attribution for the timed batches, when the
-    /// harness ran with a PMU session (schema v3's optional `pmu` block).
-    pub pmu: Option<PmuReading>,
 }
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Render a [`PmuReading`] as one JSON object — the `pmu` block of both
-/// the JSONL stream and `BENCH_<n>.json` schema v3. Optional counters
-/// are omitted (not null) when the host's PMU lacks them; the
-/// `degraded_reason` key is present exactly when the source is `tsc`.
-pub fn pmu_to_json(r: &PmuReading) -> String {
-    let mut out = format!(
-        "{{\"source\":\"{}\",\"ops\":{},\"cycles_per_op\":{:.3}",
-        r.source.name(),
-        r.ops,
-        r.cycles_per_op
-    );
-    let mut opt = |key: &str, v: Option<f64>, prec: usize| {
-        if let Some(v) = v {
-            out.push_str(&format!(",\"{key}\":{v:.prec$}"));
-        }
-    };
-    opt("instructions_per_op", r.instructions_per_op, 3);
-    opt("ipc", r.ipc, 4);
-    opt("cache_misses_per_op", r.cache_misses_per_op, 4);
-    opt("stalled_frontend_per_op", r.stalled_frontend_per_op, 3);
-    opt("stalled_backend_per_op", r.stalled_backend_per_op, 3);
-    if let Some(reason) = &r.degraded_reason {
-        out.push_str(&format!(",\"degraded_reason\":\"{}\"", json_escape(reason)));
-    }
-    out.push('}');
-    out
-}
-
 impl BenchResult {
     /// Render as one JSON object (no trailing newline). Only numbers and
     /// escaped strings — consumable by any JSON parser.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"name\":\"{}\",\"iters\":{},\"samples\":{},\"min_ns\":{:.3},\"mean_ns\":{:.3},\"max_ns\":{:.3},\"cv\":{:.6}",
+        format!(
+            "{{\"name\":\"{}\",\"iters\":{},\"samples\":{},\"min_ns\":{:.3},\"mean_ns\":{:.3},\"max_ns\":{:.3},\"cv\":{:.6}}}",
             json_escape(&self.name),
             self.iters,
             self.samples,
@@ -110,13 +72,7 @@ impl BenchResult {
             self.mean_ns,
             self.max_ns,
             self.cv
-        );
-        if let Some(pmu) = &self.pmu {
-            out.push_str(",\"pmu\":");
-            out.push_str(&pmu_to_json(pmu));
-        }
-        out.push('}');
-        out
+        )
     }
 }
 
@@ -125,7 +81,6 @@ pub struct Criterion {
     target: Duration,
     results: Vec<BenchResult>,
     json_path: Option<String>,
-    pmu: Option<PmuSession>,
 }
 
 impl Default for Criterion {
@@ -134,11 +89,6 @@ impl Default for Criterion {
             target: target_batch(),
             results: Vec::new(),
             json_path: std::env::var("LBMF_BENCH_JSON").ok().filter(|p| !p.is_empty()),
-            pmu: if std::env::var("LBMF_BENCH_PMU").as_deref() == Ok("1") {
-                Some(PmuSession::new())
-            } else {
-                None
-            },
         }
     }
 }
@@ -153,46 +103,13 @@ impl Criterion {
         }
     }
 
-    /// Attach a hardware counter session: every subsequent benchmark's
-    /// timed batches run inside one counter scope and its result carries
-    /// a [`PmuReading`]. Opening the session never fails — hosts without
-    /// perf access get the (reported) rdtscp cycles-only fallback.
-    pub fn with_pmu(mut self) -> Self {
-        if self.pmu.is_none() {
-            self.pmu = Some(PmuSession::new());
-        }
-        self
-    }
-
-    /// The attached PMU session's source and degradation reason, if a
-    /// session is attached (`lbmf-obs record` surfaces this in host
-    /// metadata without waiting for the first benchmark).
-    pub fn pmu_status(&self) -> Option<(lbmf_pmu::PmuSource, Option<&str>)> {
-        self.pmu.as_ref().map(|s| (s.source(), s.degraded_reason()))
-    }
-
     pub fn bench_function<F>(&mut self, name: &str, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
-        let report = run_benchmark(self.target, &mut f, self.pmu.as_mut());
+        let report = run_benchmark(self.target, &mut f);
         println!("{}", report.render(name));
-        let mut result = report.to_result(name);
-        result.pmu = self.pmu.as_mut().map(|s| s.take_reading());
-        if let Some(pmu) = &result.pmu {
-            let (stall_name, stall) = pmu.stall_metric();
-            println!(
-                "{:<44} pmu:  [{:>10.1} cyc/op  ipc {}  {stall_name}/op {:.1}]  source {}{}",
-                "",
-                pmu.cycles_per_op,
-                pmu.ipc.map_or("  n/a".into(), |v| format!("{v:5.2}")),
-                stall,
-                pmu.source.name(),
-                pmu.degraded_reason
-                    .as_deref()
-                    .map_or(String::new(), |r| format!(" ({r})")),
-            );
-        }
+        let result = report.to_result(name);
         if let Some(path) = &self.json_path {
             // Append-mode JSONL so several bench binaries (or groups) can
             // share one collection file; a write failure is reported but
@@ -337,7 +254,6 @@ impl Report {
             mean_ns: self.per_iter(self.mean),
             max_ns: self.per_iter(self.max),
             cv: self.cv(),
-            pmu: None,
         }
     }
 }
@@ -351,14 +267,8 @@ fn run_once<F: FnMut(&mut Bencher)>(iters: u64, f: &mut F) -> Duration {
     b.elapsed
 }
 
-fn run_benchmark<F: FnMut(&mut Bencher)>(
-    target: Duration,
-    f: &mut F,
-    pmu: Option<&mut PmuSession>,
-) -> Report {
+fn run_benchmark<F: FnMut(&mut Bencher)>(target: Duration, f: &mut F) -> Report {
     // Calibration: double the batch size until one batch fills the window.
-    // Calibration batches run *outside* the counter scope — only the
-    // timed samples below are attributed.
     let mut iters: u64 = 1;
     loop {
         let dt = run_once(iters, f);
@@ -375,10 +285,6 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(
     let mut max = Duration::ZERO;
     let mut total = Duration::ZERO;
     let mut batches = Vec::with_capacity(SAMPLES);
-    // One scope over all timed batches: ops = iters × SAMPLES. The
-    // closure's own setup between `iter` calls is included — same
-    // convention as the wall-clock numbers, which also pay it.
-    let _scope = pmu.map(|s| s.scope(iters.saturating_mul(SAMPLES as u64)));
     for _ in 0..SAMPLES {
         let dt = run_once(iters, f);
         min = min.min(dt);
@@ -431,69 +337,6 @@ mod tests {
         });
         assert_eq!(n, 1000);
         assert!(dt > Duration::ZERO);
-    }
-
-    #[test]
-    fn with_pmu_attaches_a_reading_covering_the_timed_batches() {
-        let mut c = Criterion {
-            target: Duration::from_micros(100),
-            results: Vec::new(),
-            json_path: None,
-            pmu: None,
-        }
-        .with_pmu();
-        assert!(c.pmu_status().is_some());
-        c.bench_function("pmu/burn", |b| {
-            b.iter(|| std::hint::black_box(17u64).wrapping_mul(2654435761))
-        });
-        let r = &c.results()[0];
-        let pmu = r.pmu.as_ref().expect("with_pmu must attach a reading");
-        assert_eq!(pmu.ops, r.iters * r.samples as u64, "ops = iters × samples");
-        assert!(pmu.cycles_per_op > 0.0);
-        if pmu.source == lbmf_pmu::PmuSource::Tsc {
-            assert!(pmu.degraded_reason.is_some(), "fallback must be reported");
-        }
-        let json = r.to_json();
-        assert!(json.contains("\"pmu\":{\"source\":\""), "{json}");
-        assert!(json.contains("\"cycles_per_op\":"), "{json}");
-    }
-
-    #[test]
-    fn pmu_json_omits_missing_counters_and_escapes_the_reason() {
-        let full = PmuReading {
-            source: lbmf_pmu::PmuSource::Perf,
-            degraded_reason: None,
-            ops: 500,
-            cycles_per_op: 12.5,
-            instructions_per_op: Some(30.0),
-            ipc: Some(2.4),
-            cache_misses_per_op: Some(0.01),
-            stalled_frontend_per_op: None,
-            stalled_backend_per_op: Some(4.25),
-        };
-        let json = pmu_to_json(&full);
-        assert!(json.contains("\"source\":\"perf\""), "{json}");
-        assert!(json.contains("\"ops\":500"), "{json}");
-        assert!(json.contains("\"ipc\":2.4000"), "{json}");
-        assert!(json.contains("\"stalled_backend_per_op\":4.250"), "{json}");
-        assert!(!json.contains("stalled_frontend"), "absent counters are omitted: {json}");
-        assert!(!json.contains("degraded_reason"), "{json}");
-
-        let degraded = PmuReading {
-            source: lbmf_pmu::PmuSource::Tsc,
-            degraded_reason: Some("perf_event_open(cpu-cycles): \"ENOENT\"".into()),
-            ops: 10,
-            cycles_per_op: 9.0,
-            instructions_per_op: None,
-            ipc: None,
-            cache_misses_per_op: None,
-            stalled_frontend_per_op: None,
-            stalled_backend_per_op: None,
-        };
-        let json = pmu_to_json(&degraded);
-        assert!(json.contains("\"source\":\"tsc\""), "{json}");
-        assert!(json.contains("\"degraded_reason\":\"perf_event_open(cpu-cycles): \\\"ENOENT\\\"\""), "{json}");
-        assert!(!json.contains("instructions_per_op"), "{json}");
     }
 
     #[test]
@@ -563,7 +406,6 @@ mod tests {
             target: Duration::from_micros(100),
             results: Vec::new(),
             json_path: Some(path.to_str().unwrap().to_string()),
-            pmu: None,
         };
         c.bench_function("jsonl/a", |b| b.iter(|| std::hint::black_box(1 + 1)));
         c.bench_function("jsonl/b", |b| b.iter(|| std::hint::black_box(2 + 2)));

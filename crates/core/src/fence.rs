@@ -42,12 +42,13 @@ pub fn compiler_fence_only() {
 /// `rdtscp` does not drain the store buffer, so the l-mfence position
 /// stays fence-free while being timed).
 ///
-/// This is the scope hook `lbmf-pmu` degrades to when
-/// `perf_event_open(2)` is unavailable (containers, VMs without PMU
-/// passthrough, `perf_event_paranoid`): a cycles-only counter that
-/// never fails. On non-x86-64 targets it falls back to monotonic
-/// nanoseconds since the first call (1 pseudo-cycle = 1 ns), keeping
-/// the contract "monotonic, cheap, never panics".
+/// This is the repository's cycle hook: `perfbench` times each op with
+/// it. For hardware counters (cache misses, stall cycles) run the
+/// workload under an external `perf stat` on a host that exposes a PMU;
+/// nothing in-process opens `perf_event_open(2)`. On non-x86-64 targets
+/// it falls back to monotonic nanoseconds since the first call
+/// (1 pseudo-cycle = 1 ns), keeping the contract "monotonic, cheap,
+/// never panics".
 #[inline]
 pub fn rdtscp_cycles() -> u64 {
     #[cfg(target_arch = "x86_64")]

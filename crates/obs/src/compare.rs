@@ -1,7 +1,7 @@
 //! Noise-aware comparison of two BENCH reports, and the CI regression
 //! gate built on it.
 //!
-//! The threshold question is the whole game on a noisy 1-core host: a
+//! The threshold question is the whole game on a noisy shared host: a
 //! fixed "fail at +5%" gate would page on scheduler jitter daily. Each
 //! benchmark instead carries its own coefficient of variation from both
 //! recordings, and a delta only counts as *confirmed* when it clears
@@ -81,14 +81,6 @@ pub struct Comparison {
     /// a note is emitted only when p50 moved by more than one bucket
     /// (beyond 2× in either direction).
     pub serialize_notes: Vec<String>,
-    /// Hardware counter observations for matched pairs that both carry
-    /// a `pmu` block. Advisory only, never a gate: an absent block on
-    /// either side (pre-v3 recording, counters off) is silently
-    /// tolerated, cross-source pairs (perf vs the tsc fallback) are
-    /// flagged as incomparable, and same-source cycles-per-op moves are
-    /// noted past ±25% — counters attribute *why*, the wall-clock gate
-    /// above decides *whether*.
-    pub pmu_notes: Vec<String>,
     /// Whether the two recordings came from different host shapes
     /// (worth a warning, not an error).
     pub host_mismatch: bool,
@@ -125,7 +117,7 @@ impl Comparison {
             }
         }
         let mut out = t.render();
-        for note in self.serialize_notes.iter().chain(&self.pmu_notes) {
+        for note in &self.serialize_notes {
             out.push_str(&format!("note: {note}\n"));
         }
         if self.host_mismatch {
@@ -158,7 +150,6 @@ pub fn compare(base: &BenchReport, cand: &BenchReport) -> Comparison {
     let quick = base.quick || cand.quick;
     let mut deltas = Vec::new();
     let mut serialize_notes = Vec::new();
-    let mut pmu_notes = Vec::new();
     for b in &base.benchmarks {
         let name = &b.result.name;
         let Some(c) = cand.entry(name) else {
@@ -185,26 +176,6 @@ pub fn compare(base: &BenchReport, cand: &BenchReport) -> Comparison {
                     "{name}: serialize p50 {} → {} ns (beyond one log2 bucket; advisory)",
                     sb.p50, sc.p50
                 ));
-            }
-        }
-        if let (Some(pb), Some(pc)) = (&b.result.pmu, &c.result.pmu) {
-            if pb.source != pc.source {
-                pmu_notes.push(format!(
-                    "{name}: pmu sources differ ({} → {}); counters not comparable",
-                    pb.source.name(),
-                    pc.source.name()
-                ));
-            } else if pb.cycles_per_op > 0.0 {
-                let rel = (pc.cycles_per_op - pb.cycles_per_op) / pb.cycles_per_op;
-                if rel.abs() > 0.25 {
-                    pmu_notes.push(format!(
-                        "{name}: pmu cycles/op {:.1} → {:.1} ({:+.0}%, source {}; advisory)",
-                        pb.cycles_per_op,
-                        pc.cycles_per_op,
-                        rel * 100.0,
-                        pb.source.name()
-                    ));
-                }
             }
         }
         let rel = (c.result.mean_ns - b.result.mean_ns) / b.result.mean_ns;
@@ -243,7 +214,6 @@ pub fn compare(base: &BenchReport, cand: &BenchReport) -> Comparison {
     Comparison {
         deltas,
         serialize_notes,
-        pmu_notes,
         host_mismatch: base.host != cand.host,
     }
 }
@@ -274,62 +244,10 @@ mod tests {
                         mean_ns: *mean,
                         max_ns: mean * 1.1,
                         cv: *cv,
-                        pmu: None,
                     })
                 })
                 .collect(),
         }
-    }
-
-    fn reading(source: lbmf_pmu::PmuSource, cycles_per_op: f64) -> lbmf_pmu::PmuReading {
-        lbmf_pmu::PmuReading {
-            source,
-            degraded_reason: (source == lbmf_pmu::PmuSource::Tsc)
-                .then(|| "perf_event_open(cpu-cycles): EPERM (-1)".to_string()),
-            ops: 1000,
-            cycles_per_op,
-            instructions_per_op: None,
-            ipc: None,
-            cache_misses_per_op: None,
-            stalled_frontend_per_op: None,
-            stalled_backend_per_op: None,
-        }
-    }
-
-    #[test]
-    fn pmu_blocks_are_advisory_and_absence_is_tolerated() {
-        use lbmf_pmu::PmuSource;
-        // Absent on one side (a v1/v2 baseline vs a v3 candidate): no
-        // note, no gate — cross-schema compares stay noise-gated on time.
-        let base = report(&[("x", 100.0, 0.0)], false);
-        let mut cand = report(&[("x", 101.0, 0.0)], false);
-        cand.benchmarks[0].result.pmu = Some(reading(PmuSource::Perf, 50.0));
-        let cmp = compare(&base, &cand);
-        assert!(cmp.pmu_notes.is_empty());
-        assert_eq!(cmp.regressions().count(), 0);
-
-        // Same source, big cycles/op move: noted, still not a gate.
-        let mut base2 = report(&[("x", 100.0, 0.0)], false);
-        base2.benchmarks[0].result.pmu = Some(reading(PmuSource::Perf, 30.0));
-        let cmp = compare(&base2, &cand);
-        assert_eq!(cmp.pmu_notes.len(), 1, "{:?}", cmp.pmu_notes);
-        assert!(cmp.pmu_notes[0].contains("cycles/op"), "{:?}", cmp.pmu_notes);
-        assert!(cmp.render().contains("note: x: pmu cycles/op"));
-        assert_eq!(cmp.regressions().count(), 0, "pmu notes never gate");
-
-        // Same source, small move: silent.
-        let mut base3 = report(&[("x", 100.0, 0.0)], false);
-        base3.benchmarks[0].result.pmu = Some(reading(PmuSource::Perf, 45.0));
-        assert!(compare(&base3, &cand).pmu_notes.is_empty());
-
-        // Cross-source (perf baseline vs tsc fallback candidate): flagged
-        // incomparable rather than producing a nonsense delta.
-        let mut cand_tsc = report(&[("x", 100.0, 0.0)], false);
-        cand_tsc.benchmarks[0].result.pmu = Some(reading(PmuSource::Tsc, 5000.0));
-        let cmp = compare(&base2, &cand_tsc);
-        assert_eq!(cmp.pmu_notes.len(), 1);
-        assert!(cmp.pmu_notes[0].contains("not comparable"), "{:?}", cmp.pmu_notes);
-        assert_eq!(cmp.regressions().count(), 0);
     }
 
     #[test]

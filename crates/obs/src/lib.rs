@@ -23,10 +23,11 @@
 //!   instruction classes that caused it and compares the l-mfence and
 //!   mfence serialization bills, and `validate` structurally checks any
 //!   exported Chrome trace (flow pairing included).
-//! * **`serve`** ([`http`], [`metrics`]) exposes `/metrics` (Prometheus
-//!   exposition format: the live trace-ring export plus fence counters)
-//!   and a *computed* `/healthz` from a std-only HTTP server, so a
-//!   long-running workload can be scraped while it steals.
+//! * **[`http`] and [`metrics`]** are the library half of a live
+//!   endpoint: `/metrics` (Prometheus exposition format: the trace-ring
+//!   export plus fence counters) and a *computed* `/healthz` from a
+//!   std-only HTTP server. The serving examples (`work_stealing --serve`,
+//!   `store_server --serve`) mount them on a running workload.
 //! * **`doctor`** ([`doctor`]) parses the shard-health gauge schema —
 //!   from a live `/metrics` scrape or a DES-written snapshot file — and
 //!   prints a per-shard diagnosis (stuck readers attributed by slot id,
@@ -41,13 +42,6 @@
 //!   committed `BENCH_*.json` recordings and reports %/recording slopes
 //!   against each benchmark's own noise floor — the slow-drift detector
 //!   pairwise `compare` cannot be.
-//! * **`pmu`** ([`pmu`]) is a view over a recording: every suite row
-//!   `record` measures carries a hardware-counter block (`lbmf-pmu`, raw
-//!   `perf_event_open`), and `pmu` prints them as a per-strategy
-//!   attribution table — cycles, IPC, cache misses, stall cycles per op
-//!   — with a read-asymmetry verdict that gates only when real counters
-//!   backed it; unprivileged hosts record a reported `rdtscp`
-//!   cycles-only fallback, never a failure.
 //!
 //! `doctor` and `heat` fetch their exposition text through one
 //! dual-source helper ([`source`]): `--snapshot FILE` or a live
@@ -67,7 +61,6 @@ pub mod explain;
 pub mod heat;
 pub mod http;
 pub mod metrics;
-pub mod pmu;
 pub mod schema;
 pub mod sim;
 pub mod source;

@@ -1,15 +1,13 @@
-//! `lbmf-obs` CLI: `record`, `compare`, `serve`, plus the simulator-facing
-//! `sim` and `validate`. See `lbmf_obs` (the library half)
-//! for what each subcommand is made of, and EXPERIMENTS.md for the
-//! recipes CI and humans follow.
+//! `lbmf-obs` CLI: `record`, `compare`, `explain`, `doctor`, `heat`,
+//! `trend`, plus the simulator-facing `sim` and `validate`. See
+//! `lbmf_obs` (the library half) for what each subcommand is made of,
+//! and EXPERIMENTS.md for the recipes CI and humans follow.
 
 use lbmf_bench::Args;
 use lbmf_obs::schema::{bench_files, next_index, BenchReport};
-use lbmf_obs::{compare, doctor, explain, heat, http, metrics, pmu, sim, source, suite, trend};
+use lbmf_obs::{compare, doctor, explain, heat, sim, source, suite, trend};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 const USAGE: &str = "\
 lbmf-obs — perf observatory for the lbmf runtime
@@ -19,12 +17,10 @@ USAGE:
     lbmf-obs compare [--dir DIR] [--baseline PATH] [--candidate PATH] [--gate] [--advisory]
     lbmf-obs compare --self-check [PATH] [--dir DIR]
     lbmf-obs explain TRACE.json [TRACE.json ...] [--require-complete N] [--max-sum-deviation PCT]
-    lbmf-obs serve   [--addr HOST:PORT] [--workers N] [--duration-secs N]
     lbmf-obs doctor  [--addr HOST:PORT | --snapshot PATH] [--max-pin-age-ms N] [--require-healthy]
                      [--json]
     lbmf-obs heat    [--addr HOST:PORT | --snapshot PATH] [--top N] [--prometheus]
                      [--expect-theta F [--theta-tol F]] [--require-heat]
-    lbmf-obs pmu     [PATH] [--dir DIR]
     lbmf-obs trend   [--dir DIR]
     lbmf-obs sim     [--iters N] [--prometheus]
     lbmf-obs validate TRACE.json [TRACE.json ...]
@@ -36,7 +32,7 @@ record:   run the benchmark suite, write BENCH_<n>.json (next free n, floor 3).
 compare:  newest recording vs the one before it (or explicit paths).
           Deltas are noise-aware: threshold = max(5%, 3×cv), doubled for
           quick recordings. --gate exits 2 on confirmed regressions;
-          --advisory downgrades the gate to a warning (1-core CI hosts).
+          --advisory downgrades the gate to a warning (shared CI hosts).
           --self-check validates a recording parses against the schema.
 explain:  validate an exported Chrome trace, reconstruct the causal
           serialization chains from their correlation ids, and print
@@ -45,9 +41,6 @@ explain:  validate an exported Chrome trace, reconstruct the causal
           exits 2 unless at least N fully-phased chains were found across
           all traces; --max-sum-deviation PCT exits 2 when the phase-p50
           sum strays further than PCT% from the measured round-trip p50.
-serve:    run a steal-heavy ACilk-5 workload and serve /metrics + /healthz
-          until --duration-secs elapses (0 = forever, default). /healthz
-          is computed: it turns 503 once the workload driver exits.
 doctor:   diagnose a store's health plane per shard. Live mode scrapes
           /metrics and /healthz at --addr (default 127.0.0.1:9478);
           --snapshot reads exposition text from a file (e.g. a DES
@@ -67,18 +60,6 @@ heat:     the workload observatory: reassemble the hot-key / shard-skew
           --expect-theta F exits 2 unless every store's theta lands
           within --theta-tol (default 0.1) of F; --require-heat exits 1
           when no heat families were found at all (disarmed plane).
-pmu:      the microarchitectural view of a recording: per-strategy
-          attribution (cycles, IPC, cache misses and stall cycles per
-          op) from the pmu blocks `record` stores on every measured row
-          of PATH (default: the newest BENCH_*.json under --dir). Hosts
-          without perf_event_open record a reported rdtscp cycles-only
-          fallback (also forceable at record time with
-          LBMF_PMU_FORCE=tsc), which the view names. Exits 2 when real
-          counters show the store read path is NOT asymmetric
-          (symmetric must retire measurably more stall cycles per read
-          than signal); under the tsc fallback that verdict is
-          advisory, because a TSC delta cannot attribute why cycles
-          were spent.
 trend:    fit every benchmark's mean across ALL committed BENCH_*.json
           recordings (index order) and report %/recording slopes vs each
           benchmark's noise floor. Advisory: always exits 0.
@@ -100,10 +81,8 @@ fn main() -> ExitCode {
         Some("record") => cmd_record(&args),
         Some("compare") => cmd_compare(&args),
         Some("explain") => cmd_explain(&rest),
-        Some("serve") => cmd_serve(&args),
         Some("doctor") => cmd_doctor(&args),
         Some("heat") => cmd_heat(&args),
-        Some("pmu") => cmd_pmu(&rest),
         Some("trend") => cmd_trend(&args),
         Some("sim") => cmd_sim(&args),
         Some("validate") => cmd_validate(&rest),
@@ -411,58 +390,6 @@ fn cmd_heat(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_pmu(rest: &[&str]) -> ExitCode {
-    // `pmu [PATH]`: an explicit recording, else the newest under --dir.
-    let mut path = None;
-    let mut skip_next = false;
-    for a in rest {
-        if skip_next {
-            skip_next = false;
-        } else if *a == "--dir" {
-            skip_next = true;
-        } else if a.starts_with("--") {
-            return fail(&format!("unknown flag {a:?}\n\n{USAGE}"));
-        } else if path.replace(PathBuf::from(a)).is_some() {
-            return fail("pmu reads one recording");
-        }
-    }
-    let dir = dir_of(&Args::from(rest));
-    let Some(path) = path.or_else(|| bench_files(&dir).pop().map(|(_, p)| p)) else {
-        return fail(&format!("no BENCH_*.json under {}", dir.display()));
-    };
-    let report = match BenchReport::load(&path) {
-        Ok(r) => pmu::PmuReport::from_recording(&r),
-        Err(e) => return fail(&e),
-    };
-    if report.is_vacuous() {
-        return fail(&format!("{}: no benchmark carries a pmu block", path.display()));
-    }
-    println!("recording: {}", path.display());
-    print!("{}", report.render());
-    match report.read_asymmetry() {
-        Some(a) if !a.ok() && a.hard => {
-            eprintln!(
-                "pmu gate: store read path not asymmetric under hardware counters \
-                 (symmetric {:.1} vs signal {:.1} {}, need {ASYMMETRY_MIN_RATIO}x)",
-                a.symmetric,
-                a.asymmetric,
-                a.metric,
-                ASYMMETRY_MIN_RATIO = pmu::ASYMMETRY_MIN_RATIO
-            );
-            return ExitCode::from(2);
-        }
-        Some(a) if !a.ok() => {
-            eprintln!(
-                "pmu (advisory): tsc fallback saw no read asymmetry ({:.2}x) — \
-                 a TSC delta cannot attribute stalls, not gating",
-                a.ratio
-            );
-        }
-        _ => {}
-    }
-    ExitCode::SUCCESS
-}
-
 fn cmd_trend(args: &Args) -> ExitCode {
     let dir = dir_of(args);
     match trend::trend_dir(&dir) {
@@ -512,90 +439,5 @@ fn cmd_validate(rest: &[&str]) -> ExitCode {
             Err(e) => return fail(&format!("{path}: invalid trace: {e}")),
         }
     }
-    ExitCode::SUCCESS
-}
-
-fn cmd_serve(args: &Args) -> ExitCode {
-    use lbmf::strategy::{FenceStrategy, SignalFence};
-    use lbmf_cilk::bench::{Kernel, Scale};
-    use lbmf_cilk::Scheduler;
-
-    let addr = args.value("--addr").unwrap_or("127.0.0.1:9478");
-    let workers: usize = args.get("--workers", 2);
-    let duration_secs: u64 = args.get("--duration-secs", 0);
-
-    let strategy = Arc::new(SignalFence::new());
-    let strategy_for_metrics = strategy.clone();
-    // /healthz is computed, not constant: it reports ready only while
-    // the workload driver is actually running (a serving process whose
-    // workload died should fail its probes, not smile through them).
-    let driver_alive = Arc::new(AtomicBool::new(true));
-    let driver_alive_hz = driver_alive.clone();
-    let server = match http::MetricsServer::start_with_health(
-        addr,
-        move || {
-            metrics::render_all(&[(
-                strategy_for_metrics.name().to_string(),
-                strategy_for_metrics.stats().snapshot(),
-            )])
-        },
-        move || {
-            if driver_alive_hz.load(Ordering::Acquire) {
-                http::HealthStatus::ok()
-            } else {
-                http::HealthStatus {
-                    healthy: false,
-                    reasons: vec!["workload driver exited".into()],
-                }
-            }
-        },
-    ) {
-        Ok(s) => s,
-        Err(e) => return fail(&format!("bind {addr}: {e}")),
-    };
-    println!(
-        "serving http://{}/metrics and /healthz ({} ACilk-5 workers, {})",
-        server.local_addr(),
-        workers,
-        if duration_secs == 0 {
-            "until killed".to_string()
-        } else {
-            format!("for {duration_secs}s")
-        }
-    );
-
-    // The workload: an ACilk-5 scheduler stealing continuously. One
-    // driver thread resubmits Figure-4 kernels; the scrape thread only
-    // ever reads counters and drains rings.
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
-    let strategy2 = strategy.clone();
-    let driver_alive2 = driver_alive.clone();
-    let driver = std::thread::Builder::new()
-        .name("obs-workload".into())
-        .spawn(move || {
-            let sched = Scheduler::new(workers, strategy2);
-            let kernels = [Kernel::Fib, Kernel::Cilksort, Kernel::Nqueens];
-            let mut i = 0usize;
-            while !stop2.load(Ordering::Relaxed) {
-                let k = kernels[i % kernels.len()];
-                std::hint::black_box(k.run_timed(&sched, Scale::Test).checksum);
-                i += 1;
-            }
-            driver_alive2.store(false, Ordering::Release);
-            i
-        })
-        .expect("spawn workload");
-
-    if duration_secs == 0 {
-        let _ = driver.join();
-    } else {
-        std::thread::sleep(std::time::Duration::from_secs(duration_secs));
-        stop.store(true, Ordering::Relaxed);
-        let runs = driver.join().unwrap_or(0);
-        let stats = strategy.stats().snapshot();
-        println!("workload finished: {runs} kernel runs; {stats}");
-    }
-    drop(server);
     ExitCode::SUCCESS
 }

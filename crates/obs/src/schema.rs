@@ -20,27 +20,21 @@
 //!       "iters": 524288, "samples": 5,
 //!       "min_ns": 7.1, "mean_ns": 7.4, "max_ns": 8.0, "cv": 0.04,
 //!       "fence_stats": {"primary_full_fences": 0, ...},
-//!       "serialize": {"p50": 767, "p99": 49151, "count": 412},
-//!       "pmu": {"source": "perf", "ops": 2621440, "cycles_per_op": 24.1,
-//!               "instructions_per_op": 57.0, "ipc": 2.37,
-//!               "cache_misses_per_op": 0.003, "stalled_backend_per_op": 9.8}
+//!       "serialize": {"p50": 767, "p99": 49151, "count": 412}
 //!     }
 //!   ]
 //! }
 //! ```
 //!
-//! `strategy`, `fence_stats`, `serialize` and `pmu` are optional —
-//! raw-cost benchmarks (`fence/full_fence`) have no strategy, only
-//! workloads that drove remote serializations carry percentiles, and
-//! only recordings made under a counter session carry a `pmu` block.
+//! `strategy`, `fence_stats` and `serialize` are optional — raw-cost
+//! benchmarks (`fence/full_fence`) have no strategy, and only workloads
+//! that drove remote serializations carry percentiles.
 //!
-//! **v2 → v3**: adds the optional per-benchmark `pmu` block (hardware
-//! counter attribution from `lbmf-pmu`). Within the block, every counter
-//! beyond `cycles_per_op` is optional (PMUs differ), and
-//! `degraded_reason` is present exactly when `source` is `"tsc"` — a
-//! fallback reading may not masquerade as real counters. v1/v2 files
-//! (`BENCH_3.json` … `BENCH_7.json`) parse unchanged; `compare` treats
-//! an absent block as "not measured", never as a regression.
+//! **v2 → v3**: added an optional per-benchmark `pmu` block. Every
+//! block ever committed (`BENCH_8.json`, `BENCH_9.json`) is the `rdtscp`
+//! fallback, whose `cycles_per_op` only restates `mean_ns` in cycles, so
+//! the block is no longer written and the reader skips it. v1/v2 files
+//! (`BENCH_3.json` … `BENCH_7.json`) parse unchanged.
 //!
 //! **v1 → v2**: `serialize.p50`/`p99` changed meaning. v1 recorded the
 //! raw log2-bucket *upper bound* (always `2^k − 1`: 4095, 8191, ...); v2
@@ -53,18 +47,16 @@
 use lbmf_trace::json::{obj, parse, Json};
 use lbmf::stats::FenceStatsSnapshot;
 use lbmf_bench::criterion::BenchResult;
-use lbmf_pmu::{PmuReading, PmuSource};
 use std::path::{Path, PathBuf};
 
 /// Current schema identifier. Bump the `/3` on breaking changes.
 pub const SCHEMA: &str = "lbmf-bench/3";
 
-/// Prior schema version, still accepted on read: identical shape minus
-/// the optional per-benchmark `pmu` block.
+/// Prior schema version, still accepted on read: the same shape.
 pub const SCHEMA_V2: &str = "lbmf-bench/2";
 
-/// Oldest schema version, still accepted on read: no `pmu` block, and
-/// `serialize` percentiles are bucket upper bounds instead of midpoints
+/// Oldest schema version, still accepted on read: `serialize`
+/// percentiles are bucket upper bounds instead of midpoints
 /// (a within-one-bucket difference `compare` already tolerates).
 pub const SCHEMA_V1: &str = "lbmf-bench/1";
 
@@ -170,9 +162,6 @@ impl BenchEntry {
                 ]),
             ));
         }
-        if let Some(pmu) = &r.pmu {
-            fields.push(("pmu", pmu_to_json(pmu)));
-        }
         obj(fields)
     }
 
@@ -195,10 +184,6 @@ impl BenchEntry {
             mean_ns: num("mean_ns")?,
             max_ns: num("max_ns")?,
             cv: num("cv")?,
-            pmu: match v.get("pmu") {
-                None => None,
-                Some(p) => Some(pmu_from_json(p, &name)?),
-            },
         };
         if result.samples == 0 || result.iters == 0 {
             return Err(format!("benchmark {name:?}: zero samples or iters"));
@@ -380,83 +365,6 @@ fn round6(x: f64) -> f64 {
     (x * 1e6).round() / 1e6
 }
 
-/// Render one schema-v3 `pmu` block. Key set and omission rules match
-/// the JSONL writer in `lbmf_bench::criterion::pmu_to_json`.
-fn pmu_to_json(p: &PmuReading) -> Json {
-    let mut fields = vec![
-        ("source", Json::Str(p.source.name().to_string())),
-        ("ops", Json::Num(p.ops as f64)),
-        ("cycles_per_op", Json::Num(round3(p.cycles_per_op))),
-    ];
-    let mut optf = |key: &'static str, v: Option<f64>| {
-        if let Some(v) = v {
-            fields.push((key, Json::Num(round6(v))));
-        }
-    };
-    optf("instructions_per_op", p.instructions_per_op);
-    optf("ipc", p.ipc);
-    optf("cache_misses_per_op", p.cache_misses_per_op);
-    optf("stalled_frontend_per_op", p.stalled_frontend_per_op);
-    optf("stalled_backend_per_op", p.stalled_backend_per_op);
-    if let Some(reason) = &p.degraded_reason {
-        fields.push(("degraded_reason", Json::Str(reason.clone())));
-    }
-    obj(fields)
-}
-
-/// Parse and validate one `pmu` block, enforcing the degradation
-/// contract: a `tsc` reading must say why it degraded, and a `perf`
-/// reading must not carry a degradation excuse.
-fn pmu_from_json(p: &Json, bench: &str) -> Result<PmuReading, String> {
-    let source_name = p
-        .get("source")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("benchmark {bench:?}: pmu missing \"source\""))?;
-    let source = PmuSource::parse(source_name)
-        .ok_or_else(|| format!("benchmark {bench:?}: unknown pmu source {source_name:?}"))?;
-    let ops = p
-        .get("ops")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("benchmark {bench:?}: pmu missing \"ops\""))?;
-    let cycles_per_op = p
-        .get("cycles_per_op")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("benchmark {bench:?}: pmu missing \"cycles_per_op\""))?;
-    if cycles_per_op < 0.0 {
-        return Err(format!("benchmark {bench:?}: negative pmu cycles_per_op"));
-    }
-    let optf = |key: &str| p.get(key).and_then(Json::as_f64);
-    let degraded_reason = p
-        .get("degraded_reason")
-        .and_then(Json::as_str)
-        .map(str::to_string);
-    match source {
-        PmuSource::Tsc if degraded_reason.is_none() => {
-            return Err(format!(
-                "benchmark {bench:?}: pmu source \"tsc\" without \"degraded_reason\" — \
-                 the fallback must be surfaced"
-            ));
-        }
-        PmuSource::Perf if degraded_reason.is_some() => {
-            return Err(format!(
-                "benchmark {bench:?}: pmu source \"perf\" with a \"degraded_reason\""
-            ));
-        }
-        _ => {}
-    }
-    Ok(PmuReading {
-        source,
-        degraded_reason,
-        ops,
-        cycles_per_op,
-        instructions_per_op: optf("instructions_per_op"),
-        ipc: optf("ipc"),
-        cache_misses_per_op: optf("cache_misses_per_op"),
-        stalled_frontend_per_op: optf("stalled_frontend_per_op"),
-        stalled_backend_per_op: optf("stalled_backend_per_op"),
-    })
-}
-
 /// `BENCH_<n>.json` files under `dir`, sorted ascending by `n`.
 pub fn bench_files(dir: &Path) -> Vec<(u64, PathBuf)> {
     let mut found = Vec::new();
@@ -507,17 +415,6 @@ mod tests {
                         mean_ns: 7.4,
                         max_ns: 8.0,
                         cv: 0.04,
-                        pmu: Some(PmuReading {
-                            source: PmuSource::Perf,
-                            degraded_reason: None,
-                            ops: 2_621_440,
-                            cycles_per_op: 24.125,
-                            instructions_per_op: Some(57.0),
-                            ipc: Some(2.3625),
-                            cache_misses_per_op: Some(0.0035),
-                            stalled_frontend_per_op: None,
-                            stalled_backend_per_op: Some(9.75),
-                        }),
                     },
                     strategy: Some("SignalFence".into()),
                     fence_stats: Some(FenceStatsSnapshot {
@@ -538,7 +435,6 @@ mod tests {
                     mean_ns: 5.5,
                     max_ns: 6.0,
                     cv: 0.02,
-                    pmu: None,
                 }),
             ],
         }
@@ -555,12 +451,7 @@ mod tests {
         assert_eq!(e.strategy.as_deref(), Some("SignalFence"));
         assert_eq!(e.fence_stats.unwrap().primary_compiler_fences, 42);
         assert_eq!(e.serialize.unwrap().p99, 65_535);
-        let pmu = e.result.pmu.as_ref().expect("pmu block round-trips");
-        assert_eq!(pmu.source, PmuSource::Perf);
-        assert_eq!(pmu.ipc, Some(2.3625));
-        assert_eq!(pmu.stalled_frontend_per_op, None);
         assert!(back.entry("fence/full_fence").unwrap().strategy.is_none());
-        assert!(back.entry("fence/full_fence").unwrap().result.pmu.is_none());
     }
 
     #[test]
@@ -572,8 +463,6 @@ mod tests {
             ("\"min_ns\":7.125", "\"min_ns\":9.5", "min above mean"),
             ("\"recorded_unix\": 1754500000,", "", "missing recorded_unix"),
             ("dekker_entry/signal", "fence/full_fence", "duplicate names"),
-            ("\"source\":\"perf\"", "\"source\":\"vibes\"", "unknown pmu source"),
-            ("\"cycles_per_op\":24.125,", "", "pmu missing cycles_per_op"),
         ] {
             let bad = good.replacen(needle, replacement, 1);
             assert!(BenchReport::parse(&bad).is_err(), "{why}");
@@ -582,35 +471,9 @@ mod tests {
     }
 
     #[test]
-    fn pmu_degradation_contract_is_enforced_on_read() {
-        // tsc without a reason: rejected.
-        let good = sample_report().render();
-        let silent_tsc = good.replacen("\"source\":\"perf\"", "\"source\":\"tsc\"", 1);
-        let err = BenchReport::parse(&silent_tsc).unwrap_err();
-        assert!(err.contains("degraded_reason"), "{err}");
-        // tsc with a reason: accepted.
-        let honest_tsc = good.replacen(
-            "\"source\":\"perf\"",
-            "\"source\":\"tsc\",\"degraded_reason\":\"perf_event_open(cpu-cycles): ENOENT (-2)\"",
-            1,
-        );
-        let back = BenchReport::parse(&honest_tsc).expect("reported fallback accepted");
-        let pmu = back.entry("dekker_entry/signal").unwrap().result.pmu.clone().unwrap();
-        assert_eq!(pmu.source, PmuSource::Tsc);
-        assert!(pmu.degraded_reason.unwrap().contains("ENOENT"));
-        // perf claiming degradation: rejected.
-        let confused = good.replacen(
-            "\"source\":\"perf\"",
-            "\"source\":\"perf\",\"degraded_reason\":\"just in case\"",
-            1,
-        );
-        assert!(BenchReport::parse(&confused).is_err());
-    }
-
-    #[test]
     fn parse_accepts_v1_and_v2_recordings() {
         // Committed BENCH_3..BENCH_7 predate schema v3; compare must keep
-        // reading them (pmu-less entries are fine at any version).
+        // reading them.
         let v3_text = sample_report().render();
         let v2 = v3_text.replacen("lbmf-bench/3", "lbmf-bench/2", 1);
         let back = BenchReport::parse(&v2).expect("v2 accepted");

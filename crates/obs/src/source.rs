@@ -12,7 +12,7 @@
 use crate::http;
 use lbmf_bench::Args;
 
-/// The default scrape address, shared with `lbmf-obs serve`'s bind.
+/// The default scrape address: `work_stealing --serve`'s default bind.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:9478";
 
 /// Fetch exposition text from the source the flags select. `healthz`
@@ -55,7 +55,7 @@ mod tests {
     #[test]
     fn snapshot_wins_over_addr_and_reads_the_file_verbatim() {
         let path = std::env::temp_dir().join(format!("lbmf_obs_source_{}", std::process::id()));
-        std::fs::write(&path, "lbmf_pmu_ops{bench=\"x\"} 1\n").unwrap();
+        std::fs::write(&path, "lbmf_bench_ops{bench=\"x\"} 1\n").unwrap();
         let path_text = path.to_str().unwrap();
         // --addr present but unused: the snapshot short-circuits before
         // any network touch (the addr here would never resolve anyway).
@@ -63,7 +63,7 @@ mod tests {
         let args = Args::from(&argv);
         let mut hz = vec!["stale".to_string()];
         let text = fetch_exposition(&args, Some(&mut hz)).unwrap();
-        assert_eq!(text, "lbmf_pmu_ops{bench=\"x\"} 1\n");
+        assert_eq!(text, "lbmf_bench_ops{bench=\"x\"} 1\n");
         assert_eq!(hz, vec!["stale".to_string()], "snapshots never touch healthz");
         std::fs::remove_file(&path).ok();
     }

@@ -31,7 +31,7 @@ use lbmf_cilk::bench::{Kernel, Scale};
 use lbmf_cilk::Scheduler;
 use lbmf_des::SerializeKind;
 use lbmf_store::workload::CYCLES_PER_NS;
-use lbmf_store::{ReclaimMode, Store, WorkloadCfg};
+use lbmf_store::{ReclaimMode, Store, StoreHandle, WorkloadCfg};
 use lbmf_trace::json::{self, Json};
 use lbmf_trace::EventKind;
 use std::hint::black_box;
@@ -117,19 +117,61 @@ impl Drop for Target {
     }
 }
 
-/// The store's read fast path, uncontended: the canonical
-/// [`lbmf_store::ReadLoop`] (one epoch-pinned lookup per iteration over
-/// a prefilled working set). Under `Symmetric` every lookup drains the
-/// store buffer at the l-mfence position; under the asymmetric
-/// strategies the same position is a compiler fence — the delta between
-/// the two entries is the paper's read-side win priced on a real data
-/// structure.
+/// The read-path microbench loop: a reader handle on a prefilled store,
+/// iterating lookups over a power-of-two working set. Not `Send` (the
+/// handle pins the creating thread), which is exactly right: the loop
+/// measures one reader's fence-free fast path.
+struct ReadLoop<S: FenceStrategy> {
+    handle: StoreHandle<S>,
+    next: u64,
+}
+
+impl<S: FenceStrategy> ReadLoop<S> {
+    /// Working-set size: 1024 keys over 8 shards, small enough to stay
+    /// cache-resident so the numbers isolate fence cost, large enough
+    /// that the loop walks every shard.
+    const KEYS: u64 = 1024;
+
+    /// Build the store, prefill `k → k + 1` for every key, and register
+    /// this thread as a reader.
+    fn new(strategy: Arc<S>) -> Self {
+        let store = Arc::new(Store::new(
+            strategy,
+            8,
+            Self::KEYS as usize,
+            ReclaimMode::Free,
+        ));
+        for k in 0..Self::KEYS {
+            store.put(k, k + 1);
+        }
+        ReadLoop {
+            handle: store.handle(),
+            next: 0,
+        }
+    }
+
+    /// One iteration of the measured loop: advance the key round-robin
+    /// and perform the epoch-pinned lookup. Every key is present, so
+    /// `Some` always — callers `black_box` the result.
+    #[inline]
+    fn read_next(&mut self) -> Option<u64> {
+        self.next = (self.next + 1) & (Self::KEYS - 1);
+        self.handle.get(std::hint::black_box(self.next))
+    }
+}
+
+/// The store's read fast path, uncontended: the canonical [`ReadLoop`]
+/// (one epoch-pinned lookup per iteration over a prefilled working
+/// set). Under `Symmetric` every lookup drains the store buffer at the
+/// l-mfence position; under the asymmetric strategies the same position
+/// is a compiler fence — the delta between the two entries is the
+/// paper's read-side win priced on a real data structure.
 fn bench_store_get<S: FenceStrategy>(
     c: &mut Criterion,
     name: &str,
     strategy: Arc<S>,
 ) -> BenchEntry {
-    let mut rl = lbmf_store::ReadLoop::new(strategy.clone());
+    let mut rl = ReadLoop::new(strategy.clone());
     bench_with_stats(c, name, &strategy, |b| b.iter(|| black_box(rl.read_next())))
 }
 
@@ -194,7 +236,6 @@ fn store_projection(name: &str, cores: usize, serialize: SerializeKind) -> Bench
         mean_ns: per_read_ns,
         max_ns: per_read_ns,
         cv: 0.0,
-        pmu: None, // a simulated schedule retires no hardware events
     }
 }
 
@@ -212,17 +253,9 @@ pub fn serialize_latency_now() -> Option<SerializeLatency> {
     })
 }
 
-/// Run the full recording suite and assemble the report. Every
-/// benchmark runs under a hardware counter scope (schema v3's `pmu`
-/// block); hosts without perf access get the reported rdtscp fallback.
+/// Run the full recording suite and assemble the report.
 pub fn run(quick: bool) -> BenchReport {
-    let mut c = Criterion::with_target(target_for(quick)).with_pmu();
-    if let Some((source, reason)) = c.pmu_status() {
-        match reason {
-            None => eprintln!("pmu: hardware counters ({})", source.name()),
-            Some(r) => eprintln!("pmu: degraded to {} — {r}", source.name()),
-        }
-    }
+    let mut c = Criterion::with_target(target_for(quick));
     let mut benchmarks = Vec::new();
 
     // E1: uncontended primary entry, per strategy. Symmetric is the
@@ -356,8 +389,9 @@ pub fn ingest_jsonl(report: &mut BenchReport, text: &str) -> Result<usize, Strin
         if report.entry(&name).is_some() {
             continue; // same external row fed twice
         }
-        report.benchmarks.push(BenchEntry::plain(
-            lbmf_bench::criterion::BenchResult {
+        report
+            .benchmarks
+            .push(BenchEntry::plain(lbmf_bench::criterion::BenchResult {
                 name,
                 iters: get("iters")? as u64,
                 samples: get("samples")? as usize,
@@ -365,9 +399,7 @@ pub fn ingest_jsonl(report: &mut BenchReport, text: &str) -> Result<usize, Strin
                 mean_ns: get("mean_ns")?,
                 max_ns: get("max_ns")?,
                 cv: get("cv")?,
-                pmu: None, // ingest rows are timing-only
-            },
-        ));
+            }));
         added += 1;
     }
     Ok(added)
@@ -376,6 +408,43 @@ pub fn ingest_jsonl(report: &mut BenchReport, text: &str) -> Result<usize, Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn read_loop_hits_the_prefilled_set_and_wraps() {
+        let mut rl = ReadLoop::new(Arc::new(SignalFence::new()));
+        for i in 0..(2 * ReadLoop::<SignalFence>::KEYS) {
+            let expect = ((i + 1) & (ReadLoop::<SignalFence>::KEYS - 1)) + 1;
+            assert_eq!(rl.read_next(), Some(expect), "iteration {i}");
+        }
+    }
+
+    #[test]
+    fn read_loop_is_fence_free_under_an_asymmetric_strategy() {
+        // The same purity claim the suite's store/get rows rest on:
+        // the symmetric loop pays full fences per read, the asymmetric
+        // loop pays none.
+        let sym = Arc::new(Symmetric::new());
+        let mut rl = ReadLoop::new(sym.clone());
+        let before = sym.stats().snapshot();
+        for _ in 0..64 {
+            std::hint::black_box(rl.read_next());
+        }
+        let d = sym.stats().snapshot().diff(&before);
+        assert!(d.primary_full_fences >= 64, "symmetric reads drain: {d:?}");
+
+        let sig = Arc::new(SignalFence::new());
+        let mut rl = ReadLoop::new(sig.clone());
+        let before = sig.stats().snapshot();
+        for _ in 0..64 {
+            std::hint::black_box(rl.read_next());
+        }
+        let d = sig.stats().snapshot().diff(&before);
+        assert_eq!(
+            d.primary_full_fences, 0,
+            "asymmetric reads are fence-free: {d:?}"
+        );
+        assert!(d.primary_compiler_fences >= 64, "{d:?}");
+    }
 
     #[test]
     fn ingest_appends_and_renames_collisions() {
@@ -391,7 +460,6 @@ mod tests {
                 mean_ns: 1.0,
                 max_ns: 1.0,
                 cv: 0.0,
-                pmu: None,
             })],
         };
         let jsonl = "{\"name\":\"a\",\"iters\":2,\"samples\":3,\"min_ns\":1,\"mean_ns\":2,\"max_ns\":3,\"cv\":0.1}\n\

@@ -224,7 +224,6 @@ mod tests {
                         mean_ns: mean,
                         max_ns: mean * 1.1,
                         cv,
-                        pmu: None,
                     })
                 })
                 .collect(),

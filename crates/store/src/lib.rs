@@ -39,7 +39,6 @@
 
 pub mod health;
 pub mod heat;
-pub mod microbench;
 pub mod shard;
 pub mod stats;
 pub mod store;
@@ -48,7 +47,6 @@ pub mod workload;
 
 pub use health::{HealthCfg, HealthMonitor, HealthVerdict, Sampler, StuckReader};
 pub use heat::{HeatSnapshot, ReaderHeat, ShardLoad};
-pub use microbench::ReadLoop;
 pub use shard::{ReaderSlot, ReclaimMode, Shard, ShardProbe};
 pub use stats::{StoreStats, StoreStatsSnapshot};
 pub use store::{shard_index, Store, StoreHandle, WedgedReader};

@@ -203,11 +203,13 @@ thread_local! {
 
 /// Enable or disable recording process-wide. `record` is a no-op while
 /// disabled (already-recorded events stay drainable).
+#[inline]
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Whether recording is currently enabled.
+#[inline]
 pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }

@@ -148,7 +148,7 @@ fn trace_out(args: &lbmf_bench::Args) {
     std::process::exit(1);
 }
 
-/// The scrapeable long run: ACilk-5 steals while lbmf-obs serves its
+/// The scrapeable long run: ACilk-5 steals while `lbmf_obs::http` serves its
 /// counters. `curl http://<addr>/metrics` mid-run to watch.
 fn serve(args: &lbmf_bench::Args) {
     let addr = args.value("--addr").unwrap_or("127.0.0.1:9478");
