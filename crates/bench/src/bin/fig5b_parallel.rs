@@ -2,7 +2,7 @@
 //! Cilk-5 on **16 processors**, plus the signal→steal conversion analysis
 //! (the paper reports 53.6% for cholesky, 72.8% for lu, >90% elsewhere).
 //!
-//! The host has one core, so the 16-worker runs are discrete-event
+//! The host has 2 vCPUs, so the 16-worker runs are discrete-event
 //! simulations driven by the calibrated cost model (see `lbmf-des`); pass
 //! `--real-threads` to run the actual runtime oversubscribed instead
 //! (documented as distorted on this host).
@@ -75,14 +75,14 @@ fn main() {
     }
 }
 
-/// Oversubscribed real-thread runs (shape only; this host has one core).
+/// Oversubscribed real-thread runs (shape only: more workers than CPUs).
 fn real_threads(workers: usize) {
     use lbmf::strategy::{SignalFence, Symmetric};
     use lbmf_cilk::bench::{Kernel, Scale};
     use lbmf_cilk::Scheduler;
     use std::sync::Arc;
 
-    println!("E5 (real threads, OVERSUBSCRIBED on a 1-core host — shape is distorted)\n");
+    println!("{}", lbmf_bench::oversubscribed_banner("E5"));
     let sym = Scheduler::new(workers, Arc::new(Symmetric::new()));
     let asym = Scheduler::new(workers, Arc::new(SignalFence::new()));
     let mut t = Table::new(&["benchmark", "sym", "asym", "ratio", "conversion"]);

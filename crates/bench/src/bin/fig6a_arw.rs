@@ -6,7 +6,7 @@
 //! collapsing at low ratios and high thread counts because the writer
 //! signals readers one by one.
 //!
-//! The 16-thread sweeps are discrete-event simulations on this 1-core
+//! The 16-thread sweeps are discrete-event simulations on this 2-vCPU
 //! host; `--real` runs the actual lock implementation instead (threads
 //! oversubscribed, shape distorted).
 //!
@@ -63,7 +63,7 @@ fn real_threads(args: &Args) {
     use std::time::Duration;
 
     let per_thread_ms: u64 = args.get("--ms", 200);
-    println!("E6 (real threads, OVERSUBSCRIBED on a 1-core host — shape is distorted)\n");
+    println!("{}", lbmf_bench::oversubscribed_banner("E6"));
 
     // Measure reads completed in a fixed wall-clock window.
     fn throughput<S: FenceStrategy>(

@@ -65,7 +65,7 @@ fn main() {
     );
 }
 
-/// Oversubscribed real-thread ARW+ runs (shape only on a 1-core host).
+/// Oversubscribed real-thread ARW+ runs (shape only: more threads than CPUs).
 fn real_threads(args: &Args) {
     use lbmf::prelude::*;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -74,7 +74,7 @@ fn real_threads(args: &Args) {
 
     let per_thread_ms: u64 = args.get("--ms", 200);
     let window: u32 = args.get("--window", 20_000u32);
-    println!("E7 (real threads, OVERSUBSCRIBED on a 1-core host — shape is distorted)\n");
+    println!("{}", lbmf_bench::oversubscribed_banner("E7"));
 
     fn throughput<S: FenceStrategy>(
         lock: Arc<AsymRwLock<S>>,

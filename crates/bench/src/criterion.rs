@@ -7,7 +7,7 @@
 //! Protocol per benchmark: calibrate the iteration count by doubling until
 //! one batch exceeds the warm-up window, then time `SAMPLES` batches and
 //! report the minimum, mean, and maximum per-iteration cost (minimum is
-//! the robust statistic on a busy single-core host), plus the coefficient
+//! the robust statistic on a busy shared host), plus the coefficient
 //! of variation across batches — the noise figure `lbmf-obs compare`
 //! scales its regression thresholds by. Tune the measurement window with
 //! `LBMF_BENCH_MS` (milliseconds per batch, default 50).

@@ -99,7 +99,7 @@ impl Table {
 }
 
 /// Run `f` `reps` times and return the minimum duration (robust to noise
-/// on a busy single-core host).
+/// on a busy shared host).
 pub fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
     assert!(reps >= 1);
     let mut best: Option<Duration> = None;
@@ -114,6 +114,15 @@ pub fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
         last = Some(out);
     }
     (best.unwrap(), last.unwrap())
+}
+
+/// The banner of an oversubscribed real-thread run: more threads than
+/// the host has CPUs, so the parallel shape is distorted.
+pub fn oversubscribed_banner(experiment: &str) -> String {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!(
+        "{experiment} (real threads, OVERSUBSCRIBED on a {cpus}-CPU host — shape is distorted)\n"
+    )
 }
 
 /// Format a ratio with a qualitative marker (`<1` favours the asymmetric

@@ -35,12 +35,9 @@
 pub mod bench;
 pub mod deque;
 pub mod job;
-pub mod par;
 pub mod scheduler;
-pub mod scope;
 pub mod stats;
 pub(crate) mod tracing;
 
 pub use scheduler::{Scheduler, WorkerCtx};
-pub use scope::Scope;
 pub use stats::RuntimeStats;

@@ -241,38 +241,28 @@ impl<'s, S: FenceStrategy> WorkerCtx<'s, S> {
         let core = b_job.core_ptr();
         self.deque().push(core, self.stats());
         let ra = a(self);
-        loop {
-            match self.deque().pop(self.stats()) {
-                Some(ptr) if ptr == core => {
-                    // Fast path: nobody stole b — run it inline. Under an
-                    // asymmetric strategy this pop cost no hardware fence.
-                    let rb = unsafe { b_job.run_inline(self) };
-                    return (ra, rb);
-                }
-                Some(other) => {
-                    // A scope-spawned job sits above our b: run it, then
-                    // keep popping toward b.
-                    unsafe { execute(other, self) };
-                }
-                None => {
-                    // b was stolen: steal other work while waiting.
-                    self.wait_for(&b_job.latch);
-                    return (ra, unsafe { b_job.take_result() });
-                }
+        match self.deque().pop(self.stats()) {
+            Some(ptr) => {
+                // Fast path: nobody stole b — run it inline. Under an
+                // asymmetric strategy this pop cost no hardware fence.
+                // Every job `a` pushed it also popped or lost to a thief
+                // before returning, so the top of the deque is b.
+                debug_assert!(ptr == core, "join popped a job other than its own b");
+                let rb = unsafe { b_job.run_inline(self) };
+                (ra, rb)
+            }
+            None => {
+                // b was stolen: steal other work while waiting.
+                self.wait_for(&b_job.latch);
+                (ra, unsafe { b_job.take_result() })
             }
         }
     }
 
-    /// Keep the worker busy until `latch` is set.
+    /// Keep the worker busy (executing own and stolen work) until `latch`
+    /// is set.
     fn wait_for(&self, latch: &Latch) {
-        self.work_until(|| latch.probe());
-    }
-
-    /// Keep the worker busy (executing own and stolen work) until `cond`
-    /// holds. Used by joins waiting on stolen children and by scopes
-    /// draining their spawned tasks.
-    pub(crate) fn work_until(&self, mut cond: impl FnMut() -> bool) {
-        while !cond() {
+        while !latch.probe() {
             match self.find_work() {
                 Some(job) => unsafe {
                     bump_owned(&self.stats().executed);
@@ -281,11 +271,6 @@ impl<'s, S: FenceStrategy> WorkerCtx<'s, S> {
                 None => std::thread::yield_now(),
             }
         }
-    }
-
-    /// Push a ready job (e.g. a scope spawn) onto this worker's deque.
-    pub(crate) fn push_job(&self, job: *mut JobCore<S>) {
-        self.deque().push(job, self.stats());
     }
 
     /// Own deque first, then random victims, then the injector.

@@ -9,9 +9,9 @@
 //! exploration (`lbmf-sim`) proves the same sets; this harness is the
 //! real-hardware cross-check.
 //!
-//! On the 1-core experiment host the relaxed outcome is unobservable
-//! either way (the kernel's context switches serialize the store buffer),
-//! so tests assert only the *forbidden-outcome* direction.
+//! On a host with few cores the relaxed outcome is rare or unobservable
+//! (the kernel's context switches serialize the store buffer), so tests
+//! assert only the *forbidden-outcome* direction.
 
 use crate::registry::{register_current_thread, RemoteThread};
 use crate::strategy::FenceStrategy;

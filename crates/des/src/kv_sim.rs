@@ -20,7 +20,7 @@
 //! Feed it the *same* per-core [`KvOp`] schedules the real-thread driver
 //! executes (see `lbmf-store`'s workload generator, which derives both
 //! from one seed) and it projects throughput and open-loop sojourn
-//! percentiles for 64, 256, … simulated cores on the 1-core host.
+//! percentiles for 64, 256, … simulated cores on a host with few real ones.
 
 use crate::costs::{DesCosts, SerializeKind};
 use lbmf_trace::{

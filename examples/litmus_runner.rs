@@ -6,10 +6,10 @@
 //! cargo run --release --example litmus_runner [iters]
 //! ```
 //!
-//! On a multi-core host the unfenced real-thread run exhibits the relaxed
-//! `(0,0)` outcome; on this 1-core experiment host only the simulator can
-//! show it (context switches serialize real store buffers), which is
-//! precisely why the simulator exists.
+//! On a many-core host the unfenced real-thread run exhibits the relaxed
+//! `(0,0)` outcome; on a host with few cores it is rare or absent and
+//! only the simulator reliably shows it (context switches serialize real
+//! store buffers), which is precisely why the simulator exists.
 
 use lbmf_repro::fences::prelude::*;
 use lbmf_repro::sim::prelude::*;
@@ -56,8 +56,8 @@ fn main() {
         );
     } else {
         println!(
-            "the unfenced run never exhibited (0,0) — expected on a 1-core \
-             host; the simulator output above shows it is reachable."
+            "the unfenced run never exhibited (0,0) — expected on a host with \
+             few cores; the simulator output above shows it is reachable."
         );
     }
 }

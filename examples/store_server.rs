@@ -10,7 +10,7 @@
 //!   (signal-serialization) store, print throughput and the fence and
 //!   store counters, then replay the identical schedule through
 //!   `lbmf-des` at 8–256 simulated cores per serialization mechanism —
-//!   the projection a 1-core host cannot measure directly;
+//!   the projection a 2-vCPU host cannot measure directly;
 //! * `--smoke` — a capped version of the same (small workload, 64-core
 //!   projection only) for CI;
 //! * `--serve` — drive the store continuously with the full health plane

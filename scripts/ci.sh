@@ -42,15 +42,16 @@ echo "== explain smoke: causal chains from live steal + Dekker runs =="
 # prints per-phase attribution, and --require-complete 1 exits nonzero
 # unless a full request→ack chain was reconstructed.
 # A complete steal chain needs thief and victim actually running in
-# parallel; on a 1-core host the probe loop never overlaps a drain, so
-# the steal half is gated on core count (the Dekker trace still has
-# dozens of complete signal chains and keeps `explain` honest there).
+# parallel. With nproc = 1 the probe loop never overlaps a drain, so the
+# steal half runs only with 2 or more CPUs (as on the 2-vCPU CI host);
+# without it the Dekker trace's dozens of complete signal chains still
+# keep `explain` honest.
 explain_traces=(target/ci_trace_dekker.trace.json)
 if [ "$(nproc)" -ge 2 ]; then
     cargo run --release --example work_stealing -- --trace-out target/ci_steal.trace.json
     explain_traces+=(target/ci_steal.trace.json)
 else
-    echo "   (1-core host: skipping the work_stealing steal-chain capture)"
+    echo "   (nproc = 1: skipping the work_stealing steal-chain capture)"
 fi
 cargo run --release -p lbmf-obs -- explain \
     "${explain_traces[@]}" --require-complete 2

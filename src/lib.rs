@@ -14,7 +14,7 @@
 //!   deque is parameterized over the victim-side fence strategy, plus the 12
 //!   benchmark kernels of Figure 4.
 //! * [`des`] — discrete-event simulations reproducing the multi-core
-//!   experiments (Figures 5(b) and 6) on a single-core host.
+//!   experiments (Figures 5(b) and 6) at core counts beyond the host's.
 //! * [`trace`] — zero-fence event tracing: per-thread lock-free rings fed
 //!   by the runtime crates (behind their `trace` feature), with Chrome
 //!   trace-event / Prometheus / summary exporters.
