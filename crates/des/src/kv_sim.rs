@@ -15,7 +15,10 @@
 //!   mechanism — the requester stalls for each round trip and each
 //!   victim's clock is pushed forward by the delivery cost, exactly the
 //!   "signal a list of readers and wait one by one" bottleneck the paper
-//!   calls out for ARW.
+//!   calls out for ARW. The replay bills that round trip on **every**
+//!   write, while the real store serializes once per two retirements per
+//!   shard (`lbmf-store`'s reclamation cadence), so a projection
+//!   overstates the real write cost by up to 2× in round trips.
 //!
 //! Feed it the *same* per-core [`KvOp`] schedules the real-thread driver
 //! executes (see `lbmf-store`'s workload generator, which derives both

@@ -17,7 +17,7 @@
 //!   macro-benchmark the fast-path numbers are supposed to add up to;
 //! * `store/get/*`, `store/put/signal` — the lbmf-store serving tier:
 //!   the epoch-pinned read fast path per strategy, and a write paying
-//!   one remote serialization to a registered reader;
+//!   one remote serialization to a registered reader every second put;
 //! * `store/des/*@64c` — the same Zipfian workload replayed through
 //!   `lbmf-des` at 64 simulated cores (deterministic projections).
 
@@ -323,8 +323,10 @@ pub fn run(quick: bool) -> BenchReport {
     benchmarks.push(bench_store_get(&mut c, "store/get/signal", Arc::new(SignalFence::new())));
 
     // Then a write paying the secondary's bill: copy-on-write publish
-    // plus one signal round trip to a parked registered reader, with the
-    // round-trip percentiles riding along as for E2.
+    // plus, on every second put (the shard's reclamation cadence), one
+    // signal round trip to a parked registered reader, so the mean
+    // averages puts that serialize and puts that do not. The round-trip
+    // percentiles ride along as for E2.
     {
         let strategy = Arc::new(SignalFence::new());
         let store = Arc::new(Store::new(strategy.clone(), 1, 64, ReclaimMode::Free));

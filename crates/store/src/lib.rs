@@ -13,10 +13,11 @@
 //!   `l-mfence` targets, so under an asymmetric strategy the entire read
 //!   is fence-free and RMW-free — the model-check suite proves both the
 //!   safety of the protocol and the *purity* of that fast path.
-//! * **Writes** copy-on-write a shard's table, publish it with one
-//!   pointer store, and then pay the secondary's bill: one remote
-//!   serialization per registered reader (signal, membarrier, or the
-//!   symmetric no-op) before reclaiming the retired snapshot.
+//! * **Writes** copy a shard's table into a recycled one, publish it with
+//!   one pointer store, and retire the old snapshot. Every second
+//!   retirement pays the secondary's bill: one remote serialization per
+//!   registered reader (signal, membarrier, or the symmetric no-op)
+//!   before reclaiming the retired snapshots.
 //!
 //! The [`workload`] module generates deterministic Zipfian op streams
 //! and replays them two ways — real threads on this host, and

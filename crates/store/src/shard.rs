@@ -21,7 +21,12 @@
 //!
 //! **Writer** (the *secondary*), under the shard's writer mutex:
 //!
-//! 1. build the copy-on-write table;
+//! 1. build the copy-on-write table: a slot-for-slot copy of the current
+//!    one with the single change applied in place
+//!    ([`Table::derive`]), written into a recycled table from the
+//!    shard's spare list when one is there (at most two, kept by step 6
+//!    in [`ReclaimMode::Free`]), into a fresh allocation otherwise. Only
+//!    growth rehashes;
 //! 2. publish: store the new table pointer **first**, then `epoch ← e+1`.
 //!    TSO commits the buffer FIFO, so no thread can observe the new epoch
 //!    with the old pointer. (The opposite order would be unsound: a
@@ -29,7 +34,12 @@
 //!    protected by the reclamation rule below.)
 //! 3. `strategy.secondary_fence()` — the publication is globally visible
 //!    before anything downstream;
-//! 4. retire the old table into limbo at `retire_epoch = e+1`;
+//! 4. retire the old table into limbo at `retire_epoch = e+1`. Steps 5
+//!    and 6 run only once the limbo holds two tables, so a shard pays
+//!    one reclamation pass per two retirements. Paying it on every put
+//!    signals the readers so often that about 1% of their gets land in a
+//!    signal handler, which lifts the get p99 from ~0.6 µs to ~3.9 µs on
+//!    the 2-vCPU host (DESIGN.md §15);
 //! 5. serialize every registered reader
 //!    ([`FenceStrategy::serialize_remote`]) — for the asymmetric
 //!    strategies this drains each reader's store buffer (the signal /
@@ -37,6 +47,9 @@
 //!    every pin stored *before* the serialization point visible;
 //! 6. load the pins and reclaim each limbo table whose
 //!    `retire_epoch = r` satisfies: **no** visible nonzero pin `p < r`.
+//!    In [`ReclaimMode::Free`] a reclaimed table goes to the spare list
+//!    (or is freed once two are kept); a later step 1 reuses it, so a
+//!    table is republished only after the same proof that would free it.
 //!
 //! # Why reclamation is safe
 //!
@@ -44,7 +57,10 @@
 //! epoch load, so the table it obtains is current at some epoch `≥ p` and
 //! therefore has `retire_epoch ≥ p + 1 > p`. Hence a *visible* pin `p`
 //! can only protect tables with `r > p` — which is exactly what rule 6
-//! keeps. Two ways a pin can be invisible:
+//! keeps. Deferring steps 5–6 changes nothing here: a table waiting in
+//! limbo is simply not reclaimed yet, and the pass that does reclaim it
+//! serializes and reads pins after that table's retirement, as the
+//! argument needs. Two ways a pin can be invisible:
 //!
 //! * **Asymmetric strategies:** the pin store was buffered — but step 5
 //!   drained every reader's buffer, so a post-serialization pin belongs
@@ -187,7 +203,23 @@ struct WriterState {
     limbo: Vec<LimboEntry>,
     /// Poisoned allocations kept alive in [`ReclaimMode::Poison`].
     graveyard: Vec<*mut Table>,
+    /// Reclaimed tables kept for the next derivations to copy into
+    /// ([`ReclaimMode::Free`] only; at most [`SPARES`]). Boxed because the
+    /// whole allocation is reused: a spare is republished as `current`.
+    #[allow(clippy::vec_box)]
+    spares: Vec<Box<Table>>,
 }
+
+/// Retired tables in limbo that trigger a reclamation pass (protocol
+/// steps 5–6). With one pass per put, puts that copy instead of rehash
+/// signal the readers so often that about 1% of gets land in a signal
+/// handler, and the get p99 rises from ~0.6 µs to ~3.9 µs; one pass per
+/// two retirements keeps the signal rate at or below the rehashing
+/// store's (DESIGN.md §15).
+const RECLAIM_BATCH: usize = 2;
+
+/// Reclaimed tables a shard keeps for reuse instead of freeing.
+const SPARES: usize = 2;
 
 /// One epoch-pinned RCU shard (see the module docs for the protocol).
 pub struct Shard<S: FenceStrategy> {
@@ -227,6 +259,7 @@ impl<S: FenceStrategy> Shard<S> {
                 epoch_value: 1,
                 limbo: Vec::new(),
                 graveyard: Vec::new(),
+                spares: Vec::new(),
             }),
             readers: RwLock::new(Vec::new()),
             mode,
@@ -355,7 +388,8 @@ impl<S: FenceStrategy> Shard<S> {
             StoreStats::bump(&self.stats.removes);
             return None;
         }
-        let next_box = Box::new(cur.clone_with(key, val));
+        let spare = w.spares.pop();
+        let next_box = cur.derive(key, val, spare);
         // Probe HWM is computed while building the copy (writer-side);
         // grab it before publication hands the table to readers.
         let next_hwm = next_box.probe_hwm() as u64;
@@ -381,31 +415,11 @@ impl<S: FenceStrategy> Shard<S> {
             Some(_) => &self.stats.puts,
             None => &self.stats.removes,
         });
-        let mut bills = 0u64;
-        let min_pin = {
-            let readers = self.readers.read();
-            // The write-side serialization cost: one round trip per
-            // registered reader (`serialize_remote` mints a correlation
-            // id per trip, so each shows up as its own causal span in the
-            // flight recorder). Symmetric documents this as a no-op; a
-            // thread is trivially serialized with respect to itself.
-            for slot in readers.iter() {
-                if slot.active.load(Ordering::Acquire) && !slot.remote.is_current() {
-                    self.strategy.serialize_remote(&slot.remote);
-                    bills += 1;
-                }
-            }
-            // Pins are only read AFTER every serialization completed:
-            // that is what makes buffered pins visible (or provably
-            // harmless — see module docs).
-            readers
-                .iter()
-                .filter(|s| s.active.load(Ordering::Acquire))
-                .map(|s| hooks::load_u64(&s.pin, Ordering::Acquire))
-                .filter(|&p| p != 0)
-                .min()
+        let bills = if w.limbo.len() >= RECLAIM_BATCH {
+            self.reclaim(&mut w)
+        } else {
+            0
         };
-        self.reclaim(&mut w, min_pin);
         // Workload attribution (heat plane): the write and the remote
         // round trips it billed, charged to the written key. Writers are
         // not purity-constrained, but the same single-producer relaxed
@@ -453,11 +467,40 @@ impl<S: FenceStrategy> Shard<S> {
         }
     }
 
-    /// Apply reclamation rule 6: a limbo table with `retire_epoch = r` is
-    /// still protected iff some visible nonzero pin `p` has `p < r`.
-    fn reclaim(&self, w: &mut WriterState, min_pin: Option<u64>) {
+    /// Protocol steps 5–6: serialize every remote reader, then read the
+    /// pins and apply the reclamation rule — a limbo table with
+    /// `retire_epoch = r` is still protected iff some visible nonzero pin
+    /// `p` has `p < r`. Returns the round trips billed.
+    fn reclaim(&self, w: &mut WriterState) -> u64 {
+        let mut bills = 0u64;
+        let min_pin = {
+            let readers = self.readers.read();
+            // The write-side serialization cost: one round trip per
+            // registered reader (`serialize_remote` mints a correlation
+            // id per trip, so each shows up as its own causal span in the
+            // flight recorder). Symmetric documents this as a no-op; a
+            // thread is trivially serialized with respect to itself.
+            for slot in readers.iter() {
+                if slot.active.load(Ordering::Acquire) && !slot.remote.is_current() {
+                    self.strategy.serialize_remote(&slot.remote);
+                    bills += 1;
+                }
+            }
+            // Pins are only read AFTER every serialization completed:
+            // that is what makes buffered pins visible (or provably
+            // harmless — see module docs).
+            readers
+                .iter()
+                .filter(|s| s.active.load(Ordering::Acquire))
+                .map(|s| hooks::load_u64(&s.pin, Ordering::Acquire))
+                .filter(|&p| p != 0)
+                .min()
+        };
         let WriterState {
-            limbo, graveyard, ..
+            limbo,
+            graveyard,
+            spares,
+            ..
         } = w;
         let mode = self.mode;
         let mut reclaimed = 0u64;
@@ -467,9 +510,15 @@ impl<S: FenceStrategy> Shard<S> {
             }
             // SAFETY: the reclamation rule just proved no reader can
             // reach `entry.table` (module docs); each limbo pointer is
-            // reclaimed exactly once because `retain` removes it.
+            // reclaimed exactly once because `retain` removes it. A spare
+            // is republished only by a later derivation, after this proof.
             match mode {
-                ReclaimMode::Free => unsafe { drop(Box::from_raw(entry.table)) },
+                ReclaimMode::Free => {
+                    let table = unsafe { Box::from_raw(entry.table) };
+                    if spares.len() < SPARES {
+                        spares.push(table);
+                    }
+                }
                 ReclaimMode::Poison => {
                     unsafe { (*entry.table).poison() };
                     graveyard.push(entry.table);
@@ -479,6 +528,7 @@ impl<S: FenceStrategy> Shard<S> {
             false
         });
         StoreStats::add(&self.stats.tables_reclaimed, reclaimed);
+        bills
     }
 }
 
@@ -518,6 +568,7 @@ mod tests {
     use crate::table::POISON;
     use lbmf::registry::register_current_thread;
     use lbmf::strategy::{SignalFence, Symmetric};
+    use std::collections::HashSet;
 
     fn slot_for_current_thread() -> Arc<ReaderSlot> {
         // Keep the registration alive for the process: tests only need
@@ -603,17 +654,78 @@ mod tests {
         let shard = Shard::new(Arc::new(Symmetric::new()), ReclaimMode::Poison, 8);
         let old_table = shard.current.load(Ordering::Acquire);
         shard.update(3, Some(30));
-        // No pins: the initial table was retired and poisoned, but the
-        // allocation is still alive in the graveyard — reading through
+        // One retirement waits in limbo for the next.
+        assert_eq!(shard.stats().tables_reclaimed, 0);
+        shard.update(3, Some(31));
+        // No pins: both retired tables were poisoned, but the
+        // allocations are still alive in the graveyard — reading through
         // the stale pointer is memory-safe and yields the sentinel.
-        assert_eq!(shard.stats().tables_reclaimed, 1);
+        assert_eq!(shard.stats().tables_reclaimed, 2);
         // SAFETY: poison mode never frees; the graveyard owns the block.
         let stale = unsafe { &*old_table };
         assert_eq!(stale.get(3), None, "old snapshot never had the key");
-        shard.update(3, Some(31));
-        // The table that *did* hold 3 -> 30 is now poisoned too.
-        assert_eq!(shard.stats().tables_reclaimed, 2);
         let _ = POISON; // sentinel value asserted in the table tests
+    }
+
+    #[test]
+    fn free_mode_recycles_a_bounded_set_of_tables() {
+        let shard = Shard::new(Arc::new(Symmetric::new()), ReclaimMode::Free, 8);
+        let mut published = HashSet::new();
+        for k in 0..100u64 {
+            shard.update(k % 4, Some(k));
+            published.insert(shard.current.load(Ordering::Acquire));
+        }
+        // The current table, the limbo and the spares: nothing else.
+        let warm = published.len();
+        assert!(warm <= 1 + RECLAIM_BATCH + SPARES, "{warm} tables");
+        for k in 0..1_000u64 {
+            shard.update(k % 4, Some(k));
+            published.insert(shard.current.load(Ordering::Acquire));
+        }
+        assert_eq!(published.len(), warm, "no new allocation after warm-up");
+        assert_eq!(shard.stats().tables_reclaimed, 1_100);
+    }
+
+    #[test]
+    fn poison_mode_never_republishes_a_graveyard_table() {
+        let shard = Shard::new(Arc::new(Symmetric::new()), ReclaimMode::Poison, 8);
+        for k in 0..200u64 {
+            shard.update(k % 4, Some(k));
+            let current = shard.current.load(Ordering::Acquire);
+            let w = shard.writer.lock();
+            assert!(
+                !w.graveyard.contains(&current),
+                "put {k} republished a poisoned table"
+            );
+            assert!(w.spares.is_empty());
+        }
+        assert_eq!(shard.stats().tables_reclaimed, 200);
+    }
+
+    #[test]
+    fn a_visible_pin_keeps_its_table_out_of_the_spares() {
+        let shard = Shard::new(Arc::new(SignalFence::new()), ReclaimMode::Free, 8);
+        let reader = slot_for_current_thread();
+        shard.add_reader(reader.clone());
+        for k in 0..10u64 {
+            shard.update(k, Some(k));
+        }
+        // The reader pins the current epoch and holds the current table.
+        let held = shard.current.load(Ordering::Acquire);
+        reader.pin.store(shard.epoch(), Ordering::SeqCst);
+        for k in 0..50u64 {
+            shard.update(k % 4, Some(k));
+            assert_ne!(shard.current.load(Ordering::Acquire), held, "put {k}");
+        }
+        // Pin cleared: the held table is reclaimed into the spares and a
+        // following put copies into it again.
+        reader.pin.store(0, Ordering::SeqCst);
+        let republished = (0..4u64).any(|k| {
+            shard.update(k, Some(k));
+            shard.current.load(Ordering::Acquire) == held
+        });
+        assert!(republished, "the released table is recycled");
+        shard.remove_reader(&reader);
     }
 
     #[test]

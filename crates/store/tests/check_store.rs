@@ -34,26 +34,31 @@ use std::sync::{Arc, Mutex};
 // ---------------------------------------------------------------------
 
 /// One reader racing one writer over a single-shard store prefilled with
-/// `1 -> 100` (epoch 2 after the prefill). The writer publishes
-/// `1 -> 200`, retiring and — once it believes no pin protects it —
-/// poisoning the old snapshot. A correct strategy confines the reader to
-/// {100, 200}; reading the poison sentinel is the use-after-reclaim.
+/// `1 -> 100` (still epoch 1, nothing in limbo). The writer publishes
+/// `1 -> 200` and then `1 -> 300`. The first put retires the
+/// `100` snapshot without serializing anyone; the second serializes the
+/// reader, reads its pin and — once it believes no pin protects them —
+/// poisons both retired snapshots. A correct strategy confines the reader
+/// to {100, 200, 300}; reading the poison sentinel is the
+/// use-after-reclaim.
 fn store_body<S, F>(mk: F) -> impl Fn(&lbmf_check::Exec)
 where
     S: FenceStrategy,
     F: Fn() -> S,
 {
     move |exec| {
-        let store = Arc::new(Store::new(Arc::new(mk()), 1, 4, ReclaimMode::Poison));
-        // Control-thread prefill: runs before any virtual thread, plain.
-        store.put(1, 100);
+        let mut store = Store::new(Arc::new(mk()), 1, 4, ReclaimMode::Poison);
+        // Control-thread prefill: runs before any virtual thread, plain,
+        // and retires nothing.
+        store.prefill([(1, 100)]);
+        let store = Arc::new(store);
 
         let s = store.clone();
         exec.spawn(move || {
             let handle = s.handle();
             let v = handle.get(1).expect("key 1 is present in every snapshot");
             assert!(
-                v == 100 || v == 200,
+                matches!(v, 100 | 200 | 300),
                 "torn read of a reclaimed snapshot: {v:#x}"
             );
         });
@@ -61,13 +66,15 @@ where
         let s = store.clone();
         exec.spawn(move || {
             s.put(1, 200);
+            s.put(1, 300);
         });
 
         let s = store.clone();
         exec.validate(move || {
             assert_eq!(s.len(), 1);
             let snap = s.stats();
-            assert_eq!(snap.puts, 2, "prefill + the racing write");
+            assert_eq!(snap.puts, 3, "prefill + the two racing writes");
+            assert_eq!(snap.tables_retired, 2);
             assert_eq!(snap.gets, 1);
         });
     }

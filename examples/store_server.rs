@@ -121,6 +121,24 @@ fn main() {
     assert!(sig.fences.serializations_requested > 0, "writers must serialize readers");
     assert_eq!(sig.fences.primary_full_fences, 0, "asymmetric reads are fence-free");
     assert!(sym.fences.primary_full_fences >= sym.reads, "symmetric reads each pay mfence");
+    // The reclamation cadence: a shard serializes its readers once per
+    // two retirements, so with no wedged reader each shard ends the run
+    // with at most one table in limbo, and the round trips stay within
+    // half the puts (plus one pass per shard held back by a pin).
+    let limbo = sig.store.tables_retired - sig.store.tables_reclaimed;
+    assert!(
+        limbo <= cfg.shards as u64,
+        "{limbo} tables left in limbo over {} shards",
+        cfg.shards
+    );
+    let remote_readers = cfg.threads as u64 - 1;
+    let budget = (sig.store.puts / 2 + cfg.shards as u64) * remote_readers;
+    assert!(
+        sig.fences.serializations_requested <= budget,
+        "{} serializations for {} puts: over the every-second-retirement budget {budget}",
+        sig.fences.serializations_requested,
+        sig.store.puts
+    );
     println!("\nmeasured runs agree with the generated schedule; counters consistent.\n");
 
     // -- projected: the same schedule at many simulated cores ----------
