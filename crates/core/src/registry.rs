@@ -19,7 +19,7 @@ use crate::sys;
 use crate::trace::{trace_event_corr, trace_mint_corr, trace_span_end_corr, trace_span_start};
 use std::os::raw::{c_int, c_void};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Per-registered-thread state shared with the signal handler.
 #[derive(Debug)]
@@ -269,20 +269,43 @@ extern "C" fn serialize_handler(_sig: c_int, info: *mut sys::siginfo_t, _ctx: *m
     }
 }
 
+/// Install the serialization handler on first use. Refuses (panics,
+/// naming the signal) when the application already handles the signal
+/// itself: replacing its handler would silently break it, and our
+/// handler would read its signals' payloads as slot pointers.
 fn install_handler_once() {
-    static INSTALL: Once = Once::new();
-    INSTALL.call_once(|| unsafe {
+    static INSTALLED: OnceLock<Result<(), String>> = OnceLock::new();
+    let installed = INSTALLED.get_or_init(|| unsafe {
+        let sig = serialization_signal();
+        let ours =
+            serialize_handler as extern "C" fn(c_int, *mut sys::siginfo_t, *mut c_void) as usize;
+        let mut old = sys::sigaction_t {
+            sa_sigaction: sys::SIG_DFL,
+            sa_mask: sys::sigset_t::empty(),
+            sa_flags: 0,
+            sa_restorer: 0,
+        };
+        let rc = sys::sigaction(sig, std::ptr::null(), &mut old);
+        assert_eq!(rc, 0, "failed to read the serialization signal's action");
+        if ![sys::SIG_DFL, sys::SIG_IGN, ours].contains(&old.sa_sigaction) {
+            return Err(format!(
+                "signal {sig} (SIGRTMIN+3), the serialization signal, already has \
+                 a handler this library did not install; refusing to replace it"
+            ));
+        }
         let sa = sys::sigaction_t {
-            sa_sigaction: serialize_handler
-                as extern "C" fn(c_int, *mut sys::siginfo_t, *mut c_void)
-                as usize,
+            sa_sigaction: ours,
             sa_mask: sys::sigset_t::empty(),
             sa_flags: sys::SA_SIGINFO | sys::SA_RESTART,
             sa_restorer: 0,
         };
-        let rc = sys::sigaction(serialization_signal(), &sa, std::ptr::null_mut());
+        let rc = sys::sigaction(sig, &sa, std::ptr::null_mut());
         assert_eq!(rc, 0, "failed to install serialization signal handler");
+        Ok(())
     });
+    if let Err(refusal) = installed {
+        panic!("{refusal}");
+    }
 }
 
 /// Global registry keeping every slot alive for the life of the process

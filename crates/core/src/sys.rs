@@ -93,6 +93,10 @@ impl siginfo_t {
     }
 }
 
+/// `sa_sigaction` of the default disposition.
+pub const SIG_DFL: usize = 0;
+/// `sa_sigaction` of the ignore disposition.
+pub const SIG_IGN: usize = 1;
 /// Deliver extra handler arguments (`siginfo_t`, context).
 pub const SA_SIGINFO: c_int = 4;
 /// Restart interruptible syscalls instead of failing them with `EINTR`.

@@ -16,9 +16,11 @@
 //!   victim's clock is pushed forward by the delivery cost, exactly the
 //!   "signal a list of readers and wait one by one" bottleneck the paper
 //!   calls out for ARW. The replay bills that round trip on **every**
-//!   write, while the real store serializes once per two retirements per
-//!   shard (`lbmf-store`'s reclamation cadence), so a projection
-//!   overstates the real write cost by up to 2× in round trips.
+//!   write, while the real store serializes only when a shard's retired
+//!   bytes reach one full table (`lbmf-store`'s reclamation cadence):
+//!   about once per 40 puts on a shard of 64 chunks, once per put on a
+//!   one-chunk table. So a projection overstates the real write cost in
+//!   round trips, by up to ~40× at kv_write_mix's shard size.
 //!
 //! Feed it the *same* per-core [`KvOp`] schedules the real-thread driver
 //! executes (see `lbmf-store`'s workload generator, which derives both

@@ -17,7 +17,8 @@
 //!   macro-benchmark the fast-path numbers are supposed to add up to;
 //! * `store/get/*`, `store/put/signal` — the lbmf-store serving tier:
 //!   the epoch-pinned read fast path per strategy, and a write paying
-//!   one remote serialization to a registered reader every second put;
+//!   one remote serialization to a registered reader every second put
+//!   (the reclamation cadence of its two-chunk table);
 //! * `store/des/*@64c` — the same Zipfian workload replayed through
 //!   `lbmf-des` at 64 simulated cores (deterministic projections).
 
@@ -322,11 +323,13 @@ pub fn run(quick: bool) -> BenchReport {
     benchmarks.push(bench_store_get(&mut c, "store/get/symmetric", Arc::new(Symmetric::new())));
     benchmarks.push(bench_store_get(&mut c, "store/get/signal", Arc::new(SignalFence::new())));
 
-    // Then a write paying the secondary's bill: copy-on-write publish
-    // plus, on every second put (the shard's reclamation cadence), one
-    // signal round trip to a parked registered reader, so the mean
-    // averages puts that serialize and puts that do not. The round-trip
-    // percentiles ride along as for E2.
+    // Then a write paying the secondary's bill: a path-copy publish
+    // plus, on every second put, one signal round trip to a parked
+    // registered reader (the table is two chunks and a put retires one
+    // with a spine, so the limbo reaches one table's bytes, the pass
+    // threshold, every second put). The mean averages puts that
+    // serialize and puts that do not. The round-trip percentiles ride
+    // along as for E2.
     {
         let strategy = Arc::new(SignalFence::new());
         let store = Arc::new(Store::new(strategy.clone(), 1, 64, ReclaimMode::Free));

@@ -324,9 +324,11 @@ mod tests {
             assert_eq!(heat.top_reads[0].key, 7);
             assert_eq!(heat.top_reads[0].count, 100);
             assert_eq!(heat.top_reads[1].key, 5);
-            // All six writes hit key 7. The shard reclaims (and so
-            // serializes the remote reader) on every second retirement:
-            // writes 2, 4 and 6, the armed ones that bill a round trip.
+            // All six writes hit key 7. The shard's table is two 1 KiB
+            // chunks; a write retires a spine and one chunk, so the
+            // limbo reaches a full table's bytes, and the write that gets
+            // it there runs the pass and bills the remote reader's round
+            // trip, on every second write: 2, 4 and 6, all armed.
             assert_eq!(heat.top_writes[0].key, 7);
             assert_eq!(heat.top_writes[0].count, 5);
             assert_eq!(heat.top_bills[0].key, 7);

@@ -13,11 +13,13 @@
 //!   `l-mfence` targets, so under an asymmetric strategy the entire read
 //!   is fence-free and RMW-free — the model-check suite proves both the
 //!   safety of the protocol and the *purity* of that fast path.
-//! * **Writes** copy a shard's table into a recycled one, publish it with
-//!   one pointer store, and retire the old snapshot. Every second
-//!   retirement pays the secondary's bill: one remote serialization per
-//!   registered reader (signal, membarrier, or the symmetric no-op)
-//!   before reclaiming the retired snapshots.
+//! * **Writes** path-copy a shard's table (a new spine plus a copy of
+//!   the 1 KiB chunk the change writes), publish it with one pointer
+//!   store, and retire the old spine and the replaced chunk. Once a
+//!   shard's retired bytes reach one full table, the write pays the
+//!   secondary's bill: one remote serialization per registered reader
+//!   (signal, membarrier, or the symmetric no-op) before reclaiming the
+//!   retired versions.
 //!
 //! The [`workload`] module generates deterministic Zipfian op streams
 //! and replays them two ways — real threads on this host, and
@@ -51,7 +53,7 @@ pub use heat::{HeatSnapshot, ReaderHeat, ShardLoad};
 pub use shard::{ReaderSlot, ReclaimMode, Shard, ShardProbe};
 pub use stats::{StoreStats, StoreStatsSnapshot};
 pub use store::{shard_index, Store, StoreHandle, WedgedReader};
-pub use table::{Table, EMPTY_KEY, POISON};
+pub use table::{EMPTY_KEY, POISON};
 pub use workload::{
     build_store, kv_schedule, ops_for_core, project, project_heat, run, Op, WorkloadCfg,
     WorkloadReport,

@@ -35,12 +35,12 @@ use std::sync::{Arc, Mutex};
 
 /// One reader racing one writer over a single-shard store prefilled with
 /// `1 -> 100` (still epoch 1, nothing in limbo). The writer publishes
-/// `1 -> 200` and then `1 -> 300`. The first put retires the
-/// `100` snapshot without serializing anyone; the second serializes the
-/// reader, reads its pin and — once it believes no pin protects them —
-/// poisons both retired snapshots. A correct strategy confines the reader
-/// to {100, 200, 300}; reading the poison sentinel is the
-/// use-after-reclaim.
+/// `1 -> 200` and then `1 -> 300`. The table is one chunk, so each
+/// retirement releases a full table's bytes and each put runs a pass:
+/// it serializes the reader, reads its pin and — once it believes no pin
+/// protects them — poisons the retired snapshots. A correct strategy
+/// confines the reader to {100, 200, 300}; reading the poison sentinel
+/// is the use-after-reclaim.
 fn store_body<S, F>(mk: F) -> impl Fn(&lbmf_check::Exec)
 where
     S: FenceStrategy,
