@@ -324,12 +324,12 @@ pub fn run(quick: bool) -> BenchReport {
     benchmarks.push(bench_store_get(&mut c, "store/get/signal", Arc::new(SignalFence::new())));
 
     // Then a write paying the secondary's bill: a path-copy publish
-    // plus, on every second put, one signal round trip to a parked
-    // registered reader (the table is two chunks and a put retires one
-    // with a spine, so the limbo reaches one table's bytes, the pass
-    // threshold, every second put). The mean averages puts that
-    // serialize and puts that do not. The round-trip percentiles ride
-    // along as for E2.
+    // plus one signal round trip to a parked registered reader. The
+    // table is two chunks, so the shard's pool, which keeps at most one
+    // table's bytes, holds one spine beside its two chunks, and every
+    // put that drains it runs the pass that refills it: once warm,
+    // every put serializes. The round-trip percentiles ride along as
+    // for E2.
     {
         let strategy = Arc::new(SignalFence::new());
         let store = Arc::new(Store::new(strategy.clone(), 1, 64, ReclaimMode::Free));

@@ -326,20 +326,22 @@ mod tests {
             assert_eq!(heat.top_reads[1].key, 5);
             // All six writes hit key 7. The shard's table is two 1 KiB
             // chunks; a write retires a spine and one chunk, so the
-            // limbo reaches a full table's bytes, and the write that gets
-            // it there runs the pass and bills the remote reader's round
-            // trip, on every second write: 2, 4 and 6, all armed.
+            // second write brings the limbo to a full table's bytes and
+            // runs the pass. That pass fills the shard's pool with one
+            // husk and both chunks (one table's bytes), which each later
+            // write drains, so writes 2 to 6, all armed, each run a pass
+            // and bill the remote reader's round trip.
             assert_eq!(heat.top_writes[0].key, 7);
             assert_eq!(heat.top_writes[0].count, 5);
             assert_eq!(heat.top_bills[0].key, 7);
-            assert_eq!(heat.top_bills[0].count, 3);
+            assert_eq!(heat.top_bills[0].count, 5);
             let shard = shard_index(7, 4);
             assert_eq!(heat.shards[shard].writes, 5);
             assert!(heat.shards[shard].sampled_reads >= 100);
         }
         let text = store.render_heat("live").expect("armed");
         assert!(text.contains("lbmf_store_hotkey_reads{store=\"live\",key=\"7\",rank=\"1\"} 100"));
-        assert!(text.contains("lbmf_store_hotkey_serialize_bill{store=\"live\",key=\"7\"} 3"));
+        assert!(text.contains("lbmf_store_hotkey_serialize_bill{store=\"live\",key=\"7\"} 5"));
         assert!(text.contains("lbmf_store_skew_sample_every{store=\"live\"} 1"));
         // Disarm: the report goes dark but the read path still works.
         store.disarm_heat();

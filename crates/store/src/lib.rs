@@ -16,10 +16,11 @@
 //! * **Writes** path-copy a shard's table (a new spine plus a copy of
 //!   the 1 KiB chunk the change writes), publish it with one pointer
 //!   store, and retire the old spine and the replaced chunk. Once a
-//!   shard's retired bytes reach one full table, the write pays the
-//!   secondary's bill: one remote serialization per registered reader
-//!   (signal, membarrier, or the symmetric no-op) before reclaiming the
-//!   retired versions.
+//!   shard's retired bytes reach one full table, or its pool of
+//!   reclaimed memory runs low, the write pays the secondary's bill: one
+//!   remote serialization per registered reader (signal, membarrier, or
+//!   the symmetric no-op) before reclaiming the retired versions into
+//!   the pool the next writes copy into.
 //!
 //! The [`workload`] module generates deterministic Zipfian op streams
 //! and replays them two ways — real threads on this host, and

@@ -26,7 +26,7 @@ pub struct StoreStats {
     pub removes: AtomicU64,
     /// Snapshot tables retired to the limbo list by writers.
     pub tables_retired: AtomicU64,
-    /// Retired tables reclaimed (freed, or poisoned in
+    /// Retired tables reclaimed (recycled or freed, or poisoned in
     /// [`ReclaimMode::Poison`](crate::shard::ReclaimMode)) once no
     /// reader pin could still protect them.
     pub tables_reclaimed: AtomicU64,
@@ -36,13 +36,6 @@ impl StoreStats {
     /// Fresh zeroed counters.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Increment one counter (relaxed; reporting only — never called on
-    /// the reader fast path).
-    #[inline]
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Add `n` to `counter` (used when folding a retiring reader slot's
@@ -64,6 +57,17 @@ impl StoreStats {
             tables_reclaimed: self.tables_reclaimed.load(Ordering::Relaxed),
         }
     }
+}
+
+/// Add `n` to a counter that only the shard's writer updates, under its
+/// mutex: a plain load-add-store, the single-writer discipline of
+/// [`lbmf::stats::bump_owned`] (DESIGN.md §19), never a locked RMW.
+#[inline]
+pub(crate) fn add_owned(counter: &AtomicU64, n: u64) {
+    counter.store(
+        counter.load(Ordering::Relaxed).wrapping_add(n),
+        Ordering::Relaxed,
+    );
 }
 
 /// A point-in-time copy of a store's counters.
@@ -142,7 +146,7 @@ mod tests {
     #[test]
     fn fields_cover_every_counter_with_stable_names() {
         let s = StoreStats::new();
-        StoreStats::bump(&s.puts);
+        add_owned(&s.puts, 1);
         StoreStats::add(&s.gets, 5);
         let snap = s.snapshot();
         let names: Vec<&str> = snap.fields().iter().map(|(n, _)| *n).collect();

@@ -23,7 +23,8 @@ pub fn shard_index(key: u64, shards: usize) -> usize {
 /// store→load ordering the reclamation protocol needs — every reader on
 /// every lookup ([`lbmf::strategy::Symmetric`]), or the writer once per
 /// registered reader each time a shard's retired bytes reach one full
-/// table (the asymmetric strategies).
+/// table or its pool of reclaimed memory runs low (the asymmetric
+/// strategies).
 ///
 /// Reads go through a per-thread [`StoreHandle`] (the handle owns the
 /// pin words and the thread's serialization registration); writes go
@@ -85,9 +86,10 @@ impl<S: FenceStrategy> Store<S> {
     }
 
     /// Insert or update; returns the previous value. Write-side cost: a
-    /// path copy of one shard's table (its spine and one 1 KiB chunk)
-    /// plus — under an asymmetric strategy, once the shard's retired
-    /// bytes reach one full table — one remote serialization per
+    /// path copy of one shard's table (its spine and one 1 KiB chunk,
+    /// into memory the shard reclaimed earlier) plus — under an
+    /// asymmetric strategy, once the shard's retired bytes reach one
+    /// full table or its pool runs low — one remote serialization per
     /// registered reader.
     pub fn put(&self, key: u64, val: u64) -> Option<u64> {
         self.shards[shard_index(key, self.shards.len())].update(key, Some(val))

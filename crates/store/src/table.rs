@@ -39,6 +39,27 @@
 //! only; `Table::free_all` frees the one version still standing
 //! together with every chunk it reaches.
 //!
+//! # Who recycles a chunk
+//!
+//! In [`ReclaimMode::Free`](crate::shard::ReclaimMode) a reclaimed
+//! `Retired` is not handed back to the allocator: [`Pool::recycle`] keeps
+//! its full-size chunks, and its header with spine and `replaced` list
+//! (a *husk*), in the shard's pool, and `derive` copies into those
+//! before it allocates. Only the writer touches the pool, under the
+//! shard's mutex, and only reclamation fills it, so a pooled chunk is
+//! one the pin rule has already proven unreachable: writing it is what
+//! freeing and reallocating it would have been, without the allocator.
+//! The pool holds at most one table's bytes of the version current at
+//! the pass that fills it (the shard's pass threshold); reclamation
+//! frees the rest, and a husk whose spine no longer matches the current
+//! length. Each pass refills the pool with what the puts since the
+//! previous pass took from it, so at steady state a put neither
+//! allocates nor frees (the shard's module docs say when a pass runs).
+//! Without the pool a pass freed about forty spines, chunks and lists
+//! at once, more than glibc's per-thread cache holds, and a chunk freed
+//! by the client that did not allocate it took the other client's arena
+//! lock.
+//!
 //! Value cells are `AtomicU64` (not plain `u64`) for one reason: poison.
 //! In [`ReclaimMode::Poison`](crate::shard::ReclaimMode) the shard models
 //! allocator reuse by overwriting a *reclaimed* chunk's values with
@@ -71,6 +92,9 @@ pub const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Slots per chunk: 64 slots of 16 bytes, 1 KiB.
 const CHUNK_SLOTS: usize = 64;
+
+/// Bytes of one full-size chunk: the unit the pool keeps.
+const CHUNK_BYTES: usize = CHUNK_SLOTS * std::mem::size_of::<Slot>();
 
 /// One probe slot: a key and its value side by side.
 #[derive(Debug)]
@@ -282,24 +306,46 @@ impl Table {
     /// the table past the ½ load factor rehashes, into a table twice as
     /// large; then every chunk of this version is replaced. Shrink never
     /// happens (serving tiers size for their peak).
-    pub fn derive(&self, key: u64, val: Option<u64>) -> (Box<Table>, Vec<Chunk>) {
+    ///
+    /// A path copy writes the new header, spine and chunk copies into
+    /// memory taken from `pool` while it has some, and allocates the
+    /// rest; a rehash allocates.
+    pub fn derive(&self, key: u64, val: Option<u64>, pool: &mut Pool) -> (Box<Table>, Vec<Chunk>) {
         if val.is_some() && (self.len + 1) * 2 > self.capacity() && self.peek(key).is_none() {
             let next = self.rehash(self.capacity() * 2, val.map(|v| (key, v)));
             return (Box::new(next), self.spine.to_vec());
         }
-        let mut next = Box::new(Table {
-            mask: self.mask,
-            shift: self.shift,
-            spine: self.spine.clone(),
-            len: self.len,
-            probe_hwm: self.probe_hwm,
-        });
-        let mut replaced = Vec::new();
+        // The new header and spine: a pooled husk of the same length,
+        // overwritten, or a fresh allocation.
+        let (mut next, replaced) = match pool.take_husk(self.spine.len()) {
+            Some(Husk {
+                mut table,
+                replaced,
+            }) => {
+                let mut spine = std::mem::take(&mut table.spine);
+                spine.copy_from_slice(&self.spine);
+                *table = Table { spine, ..*self };
+                (table, replaced)
+            }
+            // Two entries: a backward shift may replace two chunks.
+            None => (
+                Box::new(Table {
+                    spine: self.spine.clone(),
+                    ..*self
+                }),
+                Vec::with_capacity(2),
+            ),
+        };
+        let mut copy = PathCopy {
+            src: &self.spine,
+            replaced,
+            pool,
+        };
         match val {
-            Some(v) => next.put(key, v, &self.spine, &mut replaced),
-            None => next.remove(key, &self.spine, &mut replaced),
+            Some(v) => next.put(key, v, Some(&mut copy)),
+            None => next.remove(key, Some(&mut copy)),
         }
-        (next, replaced)
+        (next, copy.replaced)
     }
 
     /// Insert or update every `(key, value)` of `entries`, in order, in
@@ -312,7 +358,7 @@ impl Table {
     pub unsafe fn insert_all(&mut self, entries: &[(u64, u64)]) {
         debug_assert!(self.has_room_for(entries.len()));
         for &(k, v) in entries {
-            self.put(k, v, &[], &mut Vec::new());
+            self.put(k, v, None);
         }
     }
 
@@ -332,22 +378,25 @@ impl Table {
     fn rehash(&self, cap: usize, extra: impl IntoIterator<Item = (u64, u64)>) -> Table {
         let mut next = Table::with_slots(cap);
         for (k, v) in self.iter().chain(extra) {
-            next.put(k, v, &[], &mut Vec::new());
+            next.put(k, v, None);
         }
         next
     }
 
-    /// Slot `i` for writing. A chunk this version still shares with
-    /// `src` (the spine it derives from) is copied first and the shared
-    /// one recorded in `replaced`; any other chunk is written in place.
-    fn slot_mut(&mut self, i: usize, src: &[Chunk], replaced: &mut Vec<Chunk>) -> &mut Slot {
+    /// Slot `i` for writing. Under a derivation (`copy`), a chunk this
+    /// version still shares with its source is first replaced by a
+    /// private copy and recorded as replaced; without one (`insert_all`,
+    /// `rehash`) every chunk is written in place.
+    fn slot_mut(&mut self, i: usize, copy: Option<&mut PathCopy>) -> &mut Slot {
         let c = i >> self.shift;
         let n = self.chunk_slots();
-        if src.get(c) == Some(&self.spine[c]) {
-            let shared = self.spine[c];
-            // SAFETY: `shared` belongs to the live source version.
-            self.spine[c] = Chunk::alloc(unsafe { shared.slots(n) }.iter().map(Slot::copy));
-            replaced.push(shared);
+        if let Some(copy) = copy {
+            if copy.src[c] == self.spine[c] {
+                let shared = self.spine[c];
+                // SAFETY: `shared` belongs to the live source version.
+                self.spine[c] = unsafe { copy.pool.copy_of(shared, n) };
+                copy.replaced.push(shared);
+            }
         }
         // SAFETY: the chunk is this version's own — copied above, fresh,
         // or (for `insert_all`) unreachable by any reader — so nothing
@@ -356,7 +405,7 @@ impl Table {
     }
 
     /// Pre-publication insert or update through the probe.
-    fn put(&mut self, key: u64, val: u64, src: &[Chunk], replaced: &mut Vec<Chunk>) {
+    fn put(&mut self, key: u64, val: u64, copy: Option<&mut PathCopy>) {
         debug_assert_ne!(key, EMPTY_KEY);
         debug_assert!(self.len * 2 <= self.capacity(), "load factor exceeded");
         let mut i = self.home(key);
@@ -367,7 +416,7 @@ impl Table {
                 if k == EMPTY_KEY {
                     self.len += 1;
                 }
-                let slot = self.slot_mut(i, src, replaced);
+                let slot = self.slot_mut(i, copy);
                 slot.key = key;
                 *slot.val.get_mut() = val;
                 self.probe_hwm = self.probe_hwm.max(probes);
@@ -384,7 +433,7 @@ impl Table {
     /// reachable from its home slot without tombstones. Only hole slots
     /// are written, so only their chunks are copied. Probe lengths only
     /// shrink, so `probe_hwm` stays an upper bound.
-    fn remove(&mut self, key: u64, src: &[Chunk], replaced: &mut Vec<Chunk>) {
+    fn remove(&mut self, key: u64, mut copy: Option<&mut PathCopy>) {
         let mut hole = self.home(key);
         loop {
             match self.slot(hole).key {
@@ -403,14 +452,14 @@ impl Table {
             // `k`'s home than `i` is (cyclic distances).
             if (i.wrapping_sub(self.home(k)) & self.mask) >= (i.wrapping_sub(hole) & self.mask) {
                 let v = self.slot(i).val.load(Ordering::Relaxed);
-                let slot = self.slot_mut(hole, src, replaced);
+                let slot = self.slot_mut(hole, copy.as_deref_mut());
                 slot.key = k;
                 *slot.val.get_mut() = v;
                 hole = i;
             }
             i = (i + 1) & self.mask;
         }
-        let slot = self.slot_mut(hole, src, replaced);
+        let slot = self.slot_mut(hole, copy);
         slot.key = EMPTY_KEY;
         *slot.val.get_mut() = 0;
         self.len -= 1;
@@ -487,6 +536,144 @@ impl Retired {
     }
 }
 
+/// A derivation's copy-on-write state: the source spine, the chunks
+/// replaced so far, and where the copies come from.
+struct PathCopy<'a> {
+    src: &'a [Chunk],
+    replaced: Vec<Chunk>,
+    pool: &'a mut Pool,
+}
+
+/// A reclaimed version minus its chunks: its header with the spine, and
+/// its emptied `replaced` list, ready to be the next version's.
+struct Husk {
+    table: Box<Table>,
+    replaced: Vec<Chunk>,
+}
+
+/// One shard's reclaimed memory, which derivations copy into before they
+/// allocate (module docs, "Who recycles a chunk"). Writer-private: the
+/// shard keeps it under its writer mutex.
+#[derive(Default)]
+pub(crate) struct Pool {
+    /// Full-size chunks. Smaller ones (a table under `CHUNK_SLOTS`
+    /// slots is one chunk of its own size) are freed.
+    chunks: Vec<Chunk>,
+    /// Husks, all with spines of one length: the current table's as of
+    /// the last recycling.
+    husks: Vec<Husk>,
+    /// Chunk bytes plus the husks' header-and-spine bytes.
+    bytes: usize,
+}
+
+impl Pool {
+    /// Bytes held: at most one table's, as of the last recycling.
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// Whether a path copy of `table` could find the pool short: it has
+    /// no husk of `table`'s spine length, or fewer chunks than a put that
+    /// copies two (a backward shift across one chunk boundary).
+    pub fn low_for(&self, table: &Table) -> bool {
+        let chunks_needed = if table.chunk_slots() == CHUNK_SLOTS {
+            table.spine.len().min(2)
+        } else {
+            0
+        };
+        !self
+            .husks
+            .last()
+            .is_some_and(|h| h.table.spine.len() == table.spine.len())
+            || self.chunks.len() < chunks_needed
+    }
+
+    fn take_husk(&mut self, spine_len: usize) -> Option<Husk> {
+        let husk = self.husks.pop_if(|h| h.table.spine.len() == spine_len)?;
+        self.bytes -= husk.table.spine_bytes();
+        Some(husk)
+    }
+
+    /// A private copy of the `slots`-slot chunk `src`: into a pooled
+    /// chunk when one fits, else freshly allocated.
+    ///
+    /// # Safety
+    /// `src` is live and holds `slots` slots.
+    unsafe fn copy_of(&mut self, src: Chunk, slots: usize) -> Chunk {
+        let pooled = if slots == CHUNK_SLOTS {
+            self.chunks.pop()
+        } else {
+            None
+        };
+        match pooled {
+            Some(dst) => {
+                self.bytes -= CHUNK_BYTES;
+                // A plain copy of immutable slots into a chunk no reader
+                // can reach (it was reclaimed).
+                std::ptr::copy_nonoverlapping(src.0.as_ptr(), dst.0.as_ptr(), slots);
+                dst
+            }
+            None => Chunk::alloc(src.slots(slots).iter().map(Slot::copy)),
+        }
+    }
+
+    /// Keep what `retired` releases for the next derivations of
+    /// `current` (the shard's table at reclamation time), up to one
+    /// table's bytes of `current`, and free the rest: chunks that are
+    /// not full-size, husks whose spine length is not `current`'s, and
+    /// whatever does not fit.
+    ///
+    /// # Safety
+    /// As for [`Retired::free`]: no reader can reach the retired version.
+    pub unsafe fn recycle(&mut self, retired: Retired, current: &Table) {
+        let limit = current.bytes();
+        let spine_len = current.spine.len();
+        if self
+            .husks
+            .first()
+            .is_some_and(|h| h.table.spine.len() != spine_len)
+        {
+            // The table grew: no later derivation fits these spines.
+            for husk in self.husks.drain(..) {
+                self.bytes -= husk.table.spine_bytes();
+            }
+        }
+        let Retired {
+            table,
+            mut chunks,
+            chunk_slots,
+            ..
+        } = retired;
+        for chunk in chunks.drain(..) {
+            if chunk_slots == CHUNK_SLOTS && self.bytes + CHUNK_BYTES <= limit {
+                self.bytes += CHUNK_BYTES;
+                self.chunks.push(chunk);
+            } else {
+                chunk.free(chunk_slots);
+            }
+        }
+        let table = Box::from_raw(table);
+        if table.spine.len() == spine_len && self.bytes + table.spine_bytes() <= limit {
+            self.bytes += table.spine_bytes();
+            self.husks.push(Husk {
+                table,
+                replaced: chunks,
+            });
+        }
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        for &chunk in &self.chunks {
+            // SAFETY: pooled chunks are full-size and owned by the pool
+            // alone (only reclamation, after the pin rule, puts them
+            // here). Husks free their spines on drop.
+            unsafe { chunk.free(CHUNK_SLOTS) };
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,12 +681,16 @@ mod tests {
     use std::collections::BTreeMap;
 
     /// A chain of versions owned the way a shard owns them, minus the
-    /// readers: each derivation retires the previous version at once.
-    struct Chain(*mut Table);
+    /// readers: each derivation retires the previous version at once,
+    /// into the chain's pool.
+    struct Chain(*mut Table, Pool);
 
     impl Chain {
         fn new(at_least: usize) -> Chain {
-            Chain(Box::into_raw(Box::new(Table::with_capacity(at_least))))
+            Chain(
+                Box::into_raw(Box::new(Table::with_capacity(at_least))),
+                Pool::default(),
+            )
         }
 
         fn table(&self) -> &Table {
@@ -507,11 +698,22 @@ mod tests {
             unsafe { &*self.0 }
         }
 
-        fn set(&mut self, key: u64, val: Option<u64>) -> &Table {
-            let (next, replaced) = self.table().derive(key, val);
+        /// Derive from the current version through the chain's pool.
+        fn derive(&mut self, key: u64, val: Option<u64>) -> (Box<Table>, Vec<Chunk>) {
+            // SAFETY: `self.0` is the live current version.
+            unsafe { &*self.0 }.derive(key, val, &mut self.1)
+        }
+
+        /// Publish `next` and recycle the version it replaces.
+        fn retire(&mut self, next: Box<Table>, replaced: Vec<Chunk>) {
             let old = std::mem::replace(&mut self.0, Box::into_raw(next));
             // SAFETY: nothing reads the old version any more.
-            unsafe { Retired::new(old, replaced).free() };
+            unsafe { self.1.recycle(Retired::new(old, replaced), &*self.0) };
+        }
+
+        fn set(&mut self, key: u64, val: Option<u64>) -> &Table {
+            let (next, replaced) = self.derive(key, val);
+            self.retire(next, replaced);
             self.table()
         }
     }
@@ -536,20 +738,19 @@ mod tests {
         let mut c = Chain::new(4);
         c.set(7, Some(70));
         c.set(9, Some(90));
-        let (t3, replaced) = c.table().derive(7, Some(71)); // update
+        let (t3, replaced) = c.derive(7, Some(71)); // update
         assert_eq!(t3.len(), 2);
         assert_eq!(t3.get(7), Some(71));
         assert_eq!(t3.get(9), Some(90));
         // The source is untouched (persistence).
         assert_eq!(c.table().get(7), Some(70));
-        let old = std::mem::replace(&mut c.0, Box::into_raw(t3));
-        unsafe { Retired::new(old, replaced).free() };
+        c.retire(t3, replaced);
         let t4 = c.set(7, None);
         assert_eq!(t4.len(), 1);
         assert_eq!(t4.get(7), None);
         assert_eq!(t4.get(9), Some(90));
         // Removing a missing key replaces nothing.
-        let (t5, replaced) = c.table().derive(1234, None);
+        let (t5, replaced) = c.derive(1234, None);
         assert_eq!((t5.len(), replaced.len()), (1, 0));
     }
 
@@ -586,7 +787,7 @@ mod tests {
     fn poison_overwrites_replaced_values_but_not_keys() {
         let mut c = Chain::new(4);
         c.set(5, Some(55));
-        let (next, replaced) = c.table().derive(5, Some(56));
+        let (next, replaced) = c.derive(5, Some(56));
         let old = std::mem::replace(&mut c.0, Box::into_raw(next));
         let retired = Retired::new(old, replaced);
         retired.poison();
@@ -630,17 +831,15 @@ mod tests {
         for k in 0..400u64 {
             c.set(k, Some(k));
         }
+        let (next, replaced) = c.derive(17, Some(1));
         let src = c.table();
-        let (next, replaced) = src.derive(17, Some(1));
         assert_eq!(replaced.len(), 1, "an update writes one slot");
         let differ: Vec<usize> = (0..src.spine.len())
             .filter(|&i| src.spine[i] != next.spine[i])
             .collect();
         assert_eq!(differ.len(), 1);
         assert_eq!(src.spine[differ[0]], replaced[0]);
-        let next = Box::into_raw(next);
-        let old = std::mem::replace(&mut c.0, next);
-        unsafe { Retired::new(old, replaced).free() };
+        c.retire(next, replaced);
         assert_eq!(c.table().get(17), Some(1));
     }
 
@@ -673,6 +872,25 @@ mod tests {
                 "hwm below key {k}'s probe"
             );
         }
+    }
+
+    /// The chain's pool after a recycling: it reaches no chunk of the
+    /// current version, its byte count is what it holds, and that is at
+    /// most one table's bytes.
+    fn assert_pool(c: &Chain, at: &str) {
+        let (t, pool) = (c.table(), &c.1);
+        assert!(
+            pool.chunks.iter().all(|ch| !t.spine.contains(ch)),
+            "{at}: a live chunk was pooled"
+        );
+        let held = pool.chunks.len() * CHUNK_BYTES
+            + pool
+                .husks
+                .iter()
+                .map(|h| h.table.spine_bytes())
+                .sum::<usize>();
+        assert_eq!(pool.bytes(), held, "{at}: pool byte count");
+        assert!(pool.bytes() <= t.bytes(), "{at}: pool over one table");
     }
 
     #[test]
@@ -708,7 +926,7 @@ mod tests {
                 let key = universe[rng.bounded_u64(universe.len() as u64) as usize];
                 val_seq += 1;
                 let val = (rng.bounded_u64(3) > 0).then_some(val_seq);
-                let (next, replaced) = c.table().derive(key, val);
+                let (next, replaced) = c.derive(key, val);
                 match val {
                     Some(v) => model.insert(key, v),
                     None => model.remove(&key),
@@ -719,14 +937,21 @@ mod tests {
             // load factor, so the checked steps run into the growth path.
             while model.len() + 8 < cap / 2 && cap > CHUNK_SLOTS {
                 let (next, replaced) = step(&mut c, &mut model);
-                let old = std::mem::replace(&mut c.0, Box::into_raw(next));
-                unsafe { Retired::new(old, replaced).free() };
+                c.retire(next, replaced);
             }
-            let (mut grew, mut spanned) = (false, false);
+            let (mut grew, mut spanned, mut reused) = (false, false, false);
             let steps = if cap > CHUNK_SLOTS { 600 } else { 2_000 };
             for i in 0..steps {
                 let before = model.clone();
+                let pooled = c.1.chunks.clone();
                 let (next, replaced) = step(&mut c, &mut model);
+                // The copies left the pool: a chunk both pooled and live
+                // would be overwritten by the next copy into it.
+                assert!(
+                    next.spine.iter().all(|ch| !c.1.chunks.contains(ch)),
+                    "cap {cap} step {i}: a pooled chunk is in the new spine"
+                );
+                reused |= next.spine.iter().any(|ch| pooled.contains(ch));
                 let src = c.table();
                 // Persistence: the source answers as before.
                 assert_matches(src, &before, &universe);
@@ -746,14 +971,18 @@ mod tests {
                 );
                 grew |= next.capacity() > src.capacity();
                 spanned |= next.capacity() == src.capacity() && replaced.len() > 1;
-                let old = std::mem::replace(&mut c.0, Box::into_raw(next));
-                unsafe { Retired::new(old, replaced).free() };
+                c.retire(next, replaced);
+                assert_pool(&c, &format!("cap {cap} step {i}"));
                 assert_matches(c.table(), &model, &universe);
             }
             assert!(grew, "cap {cap}: the growth path never ran");
             assert!(
                 spanned || cap <= CHUNK_SLOTS,
                 "cap {cap}: no shift across chunks"
+            );
+            assert!(
+                reused || cap <= CHUNK_SLOTS,
+                "cap {cap}: no derivation copied into a pooled chunk"
             );
         }
     }

@@ -123,12 +123,14 @@ fn main() {
     assert_eq!(sig.fences.primary_full_fences, 0, "asymmetric reads are fence-free");
     assert!(sym.fences.primary_full_fences >= sym.reads, "symmetric reads each pay mfence");
     // The reclamation cadence: a shard serializes its readers once its
-    // limbo holds one full table's bytes (its pass threshold). After a
-    // write its limbo is either below that (no pass ran) or what the
-    // pass held back: with no wedged reader, at most the one retirement
-    // a client was mid-get on, and a retirement releases at most one
-    // table. So no shard ends the run over its threshold, which is also
-    // the health plane's burn criterion.
+    // limbo holds one full table's bytes (its pass threshold), or once a
+    // put drained its pool of reclaimed memory, which a pass refills
+    // with at most one table's bytes. After a write its limbo is either
+    // below the threshold (no pass ran) or what the pass held back: with
+    // no wedged reader, at most the one retirement a client was mid-get
+    // on, and a retirement releases at most one table. So no shard ends
+    // the run over its threshold, which is also the health plane's burn
+    // criterion, and no pool holds more than one table.
     for shard in 0..cfg.shards {
         let probe = sig_store.shard(shard).health_probe();
         assert!(
@@ -137,11 +139,19 @@ fn main() {
             probe.limbo_bytes,
             probe.pass_bytes
         );
+        assert!(
+            probe.pool_bytes <= probe.pass_bytes,
+            "shard {shard}: a {}-byte pool over its {}-byte bound",
+            probe.pool_bytes,
+            probe.pass_bytes
+        );
     }
     // Every shard is sized for 256 keys at the ½ load factor, so its
     // table is at least eight 1 KiB chunks, while an update retires a
-    // spine and one chunk, under 2 KiB: a pass takes at least four puts
-    // (plus one pass per shard held back by a pin).
+    // spine and one chunk, under 2 KiB. A full pool holds at least six
+    // chunks and a pass runs once fewer than two are left, so a pass
+    // takes at least four puts (plus one pass per shard held back by a
+    // pin).
     let remote_readers = cfg.threads as u64 - 1;
     let budget = (sig.store.puts / 4 + cfg.shards as u64) * remote_readers;
     assert!(
